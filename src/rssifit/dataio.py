@@ -41,6 +41,8 @@ MODEL_FORMAT_VERSION = 1
 def _fmt(value: float) -> str:
     """Shortest decimal that reloads to the same float; ints undotted."""
     if value == int(value):
+        if value == 0 and math.copysign(1.0, value) < 0:
+            return "-0"  # int() would drop the sign of negative zero
         return str(int(value))
     return repr(value)
 

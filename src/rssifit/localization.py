@@ -8,11 +8,13 @@ self-consistency buys nothing and would blur the definition).
 
 Range planning asks the opposite question: out to what distance does the
 predicted signal, less an outage margin of z sigma, stay above the receiver
-sensitivity? That is solved by bisection rather than algebra so clamped or
-non-monotone sigma shapes are handled uniformly; the closed-form inversion
-(valid when z = 0) serves as an independent check elsewhere. Planned ranges
-beyond the surveyed span rest on a clamped sigma and deserve skepticism, so
-the result records whether clamping occurred.
+sensitivity? That is solved numerically rather than by algebra so clamped or
+non-monotone sigma shapes are handled uniformly: one vectorised pass over a
+logarithmic grid brackets the last sign change, then bisection on the scalar
+objective tightens it. The closed-form inversion (valid when z = 0) serves
+as an independent check elsewhere. Planned ranges beyond the surveyed span
+rest on a clamped sigma and deserve skepticism, so the result records
+whether clamping occurred.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from .errors import DataError, NumericalError
 from .models import (
     LinkConstants,
     ShadowedPathLossModel,
+    mean_rss_curve,
     predict_mean_rss,
     sigma_at,
+    sigma_curve,
 )
 
 # Bisection search ceiling and tolerance for max_range, in metres.
@@ -91,20 +95,37 @@ def estimate_distance(model: ShadowedPathLossModel, rss: float) -> float:
         )
     if not math.isfinite(rss):
         raise DataError(f"rss must be finite, got {rss!r}")
-    return model.d0 * 10.0 ** ((model.rss_d0 - rss) / (10.0 * model.eta))
+    try:
+        d = model.d0 * 10.0 ** ((model.rss_d0 - rss) / (10.0 * model.eta))
+    except OverflowError:
+        d = math.inf
+    if not 0.0 < d < math.inf:
+        raise DataError(
+            f"rss {rss!r} dBm is outside the range the model can invert: "
+            "the distance is not a finite positive number"
+        )
+    return d
+
+
+def _no_sigma() -> DataError:
+    return DataError(
+        "model has no fading model; fit or attach a sigma model first"
+    )
+
+
+def _negative_sigma(value: float, d: float) -> NumericalError:
+    return NumericalError(
+        f"fitted sigma is negative ({value:.4g} dB) at d = {d:.4g} m; "
+        "the sigma model is invalid there"
+    )
 
 
 def _sigma_for(model: ShadowedPathLossModel, d: float) -> tuple[float, bool]:
     if model.sigma is None:
-        raise DataError(
-            "model has no fading model; fit or attach a sigma model first"
-        )
+        raise _no_sigma()
     value, clamped = sigma_at(model.sigma, d)
     if value < 0:
-        raise NumericalError(
-            f"fitted sigma is negative ({value:.4g} dB) at d = {d:.4g} m; "
-            "the sigma model is invalid there"
-        )
+        raise _negative_sigma(value, d)
     return value, clamped
 
 
@@ -150,9 +171,12 @@ def max_range(
     """Largest distance whose margin-adjusted RSS stays above sensitivity.
 
     Finds the last point of {d : predict(d) - z*sigma(d) >= sensitivity} on
-    [d0, 1e6 m]. A coarse logarithmic scan locates the final sign change
-    (sigma need not be monotone, so the first bracket from the left would be
-    wrong), then bisection tightens it to +/- 0.01 m.
+    [d0, 1e6 m]. A logarithmic scan of 4097 points, evaluated in one
+    vectorised pass, locates the final sign change (sigma need not be
+    monotone, so the first bracket from the left would be wrong); bisection
+    on the scalar objective then tightens it to +/- 0.01 m. When z > 0 a
+    sigma that is negative at a scanned point is a NumericalError naming
+    the first such point.
     """
     if model.eta <= 0:
         raise DataError(f"max_range requires eta > 0, got {model.eta!r}")
@@ -169,20 +193,25 @@ def max_range(
         return _downlink_margin(model, outage_z, d) - sens
 
     grid = np.geomspace(model.d0, RANGE_SEARCH_MAX, 4097)
-    last_ok = None
-    first_bad_after = None
-    for d in grid:
-        if objective(float(d)) >= 0.0:
-            last_ok = float(d)
-            first_bad_after = None
-        elif first_bad_after is None:
-            first_bad_after = float(d)
-    if last_ok is None:
+    # Python float arithmetic overflows to inf silently; so does this scan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        signal = mean_rss_curve(model, grid)
+        if outage_z != 0.0:
+            if model.sigma is None:
+                raise _no_sigma()
+            spread = sigma_curve(model.sigma, grid)
+            negative = np.flatnonzero(spread < 0)
+            if negative.size:
+                i = negative[0]
+                raise _negative_sigma(float(spread[i]), float(grid[i]))
+            signal -= outage_z * spread
+        ok = np.flatnonzero(signal - sens >= 0.0)
+    if not ok.size:
         raise DataError(
             "margin-adjusted signal is below sensitivity everywhere at and "
             "beyond the reference distance"
         )
-    if first_bad_after is None:
+    if ok[-1] == grid.size - 1:
         raise NumericalError(
             f"margin-adjusted signal still above sensitivity at "
             f"{RANGE_SEARCH_MAX:g} m; no finite range within the search span"
@@ -190,7 +219,7 @@ def max_range(
 
     # Return the feasible endpoint; halving the bracket below half the
     # tolerance keeps it within RANGE_TOLERANCE of the true boundary.
-    lo, hi = last_ok, first_bad_after
+    lo, hi = float(grid[ok[-1]]), float(grid[ok[-1] + 1])
     while hi - lo > 0.5 * RANGE_TOLERANCE:
         mid = 0.5 * (lo + hi)
         if objective(mid) >= 0.0:

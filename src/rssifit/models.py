@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
+import numpy as np
+
 from .errors import DataError
 
 
@@ -207,6 +209,28 @@ def sigma_at(sigma: SigmaModel, d: float) -> SigmaValue:
     dc = min(max(d, sigma.d_min), sigma.d_max)
     value = (((sigma.a * dc + sigma.b) * dc + sigma.c) * dc + sigma.e) * dc + sigma.f
     return SigmaValue(value, dc != d)
+
+
+def mean_rss_curve(model: ShadowedPathLossModel, d: np.ndarray) -> np.ndarray:
+    """:func:`predict_mean_rss` over an array of distances, all > 0.
+
+    The distances are not validated; ``np.log10`` may differ from
+    ``math.log10`` in the last place.
+    """
+    return model.rss_d0 - 10.0 * model.eta * np.log10(d / model.d0)
+
+
+def sigma_curve(sigma: SigmaModel, d: np.ndarray) -> np.ndarray:
+    """:func:`sigma_at` values over an array of distances, all > 0.
+
+    Same clamp and the same Horner arithmetic as the scalar form, so each
+    value equals ``sigma_at(sigma, d[i]).value`` exactly. The distances are
+    not validated and the clamp flags are not returned.
+    """
+    if isinstance(sigma, ConstantSigma):
+        return np.full(d.shape, sigma.value)
+    dc = np.clip(d, sigma.d_min, sigma.d_max)
+    return (((sigma.a * dc + sigma.b) * dc + sigma.c) * dc + sigma.e) * dc + sigma.f
 
 
 def shadow_pdf(psi: float, sigma: float) -> float:

@@ -63,6 +63,9 @@ class SimulationSpec:
             )
         if not isinstance(self.seed, int):
             raise DataError(f"seed must be an integer, got {self.seed!r}")
+        if not 0 <= self.seed <= _U64:
+            # Seeds are taken mod 2**64; one outside would alias another.
+            raise DataError(f"seed must be in [0, 2**64), got {self.seed!r}")
 
 
 def _mix64_int(z: int) -> int:

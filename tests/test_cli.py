@@ -15,7 +15,7 @@ from rssifit import (
     simulate_survey,
 )
 from rssifit.cli import main
-from rssifit.models import ShadowedPathLossModel, SigmaPolynomial
+from rssifit.models import ConstantSigma, ShadowedPathLossModel, SigmaPolynomial
 from rssifit.simulate import SimulationSpec
 
 
@@ -201,6 +201,24 @@ def test_localize_negative_sigma_exits_2(capsys, tmp_path):
     assert rc == 2
     assert out == ""
     assert "sigma" in err
+
+
+def test_localize_reading_outside_invertible_range_exits_1(capsys, tmp_path):
+    for sigma in (None, ConstantSigma(2.0)):
+        model_path = tmp_path / "m.json"
+        model_path.write_bytes(
+            model_to_json(
+                ShadowedPathLossModel(d0=1.0, rss_d0=-40.0, eta=2.0, sigma=sigma)
+            )
+        )
+        for rss in ("-1e6", "1e6"):
+            rc, out, err = run(
+                capsys, "localize", "--model", str(model_path), f"--rss={rss}"
+            )
+            assert rc == 1
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_plan_longwall_oracle_with_extrapolation_warning(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +126,22 @@ def test_stats_csv_round_trips(stats):
 @given(models())
 def test_model_json_round_trips(model):
     assert model_from_json(model_to_json(model)) == model
+
+
+def test_negative_zero_round_trips_with_its_sign():
+    survey = RssiSurvey(site="s", rows=((1.0, (-0.0, 0.0)),))
+    text = save_survey_csv(survey)
+    (_, (neg, pos)), = load_survey_csv(text).rows
+    assert math.copysign(1.0, neg) == -1.0
+    assert math.copysign(1.0, pos) == 1.0
+    stats = SurveyStats(
+        site="s",
+        rows=(DistanceStats(distance=1.0, mean_rss=-0.0, sd=0.0, n=2, prr=-0.0),),
+    )
+    row = load_stats_csv(save_stats_csv(stats), site="s").rows[0]
+    assert math.copysign(1.0, row.mean_rss) == -1.0
+    assert math.copysign(1.0, row.prr) == -1.0
+    assert math.copysign(1.0, row.sd) == 1.0
 
 
 def test_survey_csv_shape():

@@ -5,6 +5,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rssifit import (
     ConstantSigma,
@@ -17,7 +19,9 @@ from rssifit import (
     estimate_distance,
     max_range,
     predict_mean_rss,
+    sigma_at,
 )
+from rssifit.localization import RANGE_SEARCH_MAX, RANGE_TOLERANCE, LinkPlan
 
 
 def model(eta=2.0, rss_d0=-40.0, d0=1.0, sigma=None):
@@ -55,6 +59,15 @@ def test_nonpositive_eta_is_not_invertible():
         estimate_distance(model(eta=-1.5), -60.0)
     with pytest.raises(DataError):
         estimate_distance(model(), math.inf)
+
+
+def test_reading_outside_invertible_range_is_a_data_error():
+    # -1e6 dBm overflows 10**x; +1e6 dBm underflows the distance to 0.0
+    for rss in (-1e6, 1e6):
+        with pytest.raises(DataError, match=f"rss {rss!r} dBm"):
+            estimate_distance(model(), rss)
+    with pytest.raises(DataError, match="rss -1000000.0 dBm"):
+        confidence_interval(model(sigma=ConstantSigma(2.0)), -1e6)
 
 
 def test_interval_endpoints_from_hand_evaluated_quantile():
@@ -180,3 +193,127 @@ def test_plan_z_requires_sigma_when_positive():
         max_range(model(), LinkConstants(), outage_z=1.0)
     with pytest.raises(DataError):
         max_range(model(sigma=ConstantSigma(2.0)), LinkConstants(), outage_z=-1.0)
+
+
+def loop_max_range(m, constants, outage_z):
+    """Reference max_range: the scan as one scalar objective call per point.
+
+    The library's scan is vectorised; this keeps the per-point loop it
+    replaced, with the same bisection and the same errors.
+    """
+    sens = constants.receiver_sensitivity
+
+    def sigma(d):
+        if m.sigma is None:
+            raise DataError(
+                "model has no fading model; fit or attach a sigma model first"
+            )
+        value, clamped = sigma_at(m.sigma, d)
+        if value < 0:
+            raise NumericalError(
+                f"fitted sigma is negative ({value:.4g} dB) at d = {d:.4g} m; "
+                "the sigma model is invalid there"
+            )
+        return value, clamped
+
+    def objective(d):
+        mean = predict_mean_rss(m, d)
+        if outage_z != 0.0:
+            mean -= outage_z * sigma(d)[0]
+        return mean - sens
+
+    last_ok = first_bad_after = None
+    for d in np.geomspace(m.d0, RANGE_SEARCH_MAX, 4097):
+        if objective(float(d)) >= 0.0:
+            last_ok, first_bad_after = float(d), None
+        elif first_bad_after is None:
+            first_bad_after = float(d)
+    if last_ok is None:
+        raise DataError(
+            "margin-adjusted signal is below sensitivity everywhere at and "
+            "beyond the reference distance"
+        )
+    if first_bad_after is None:
+        raise NumericalError(
+            f"margin-adjusted signal still above sensitivity at "
+            f"{RANGE_SEARCH_MAX:g} m; no finite range within the search span"
+        )
+    lo, hi = last_ok, first_bad_after
+    while hi - lo > 0.5 * RANGE_TOLERANCE:
+        mid = 0.5 * (lo + hi)
+        if objective(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    if outage_z == 0.0 or m.sigma is None:
+        margin, clamped = 0.0, False
+    else:
+        value, clamped = sigma(lo)
+        margin = outage_z * value
+    return LinkPlan(lo, margin, outage_z, sens, clamped)
+
+
+def outcome(plan_fn, *args):
+    try:
+        return plan_fn(*args)
+    except (DataError, NumericalError) as exc:
+        return exc
+
+
+def side(sigma, d):
+    if not isinstance(sigma, SigmaPolynomial):
+        return 0
+    return -1 if d < sigma.d_min else (1 if d > sigma.d_max else 0)
+
+
+def quartics(low):
+    """Quartic sigmas; low = -1 lets sigma dip below zero, low = 0 does not."""
+
+    def coefficient(bound):
+        return st.floats(min_value=low * bound, max_value=bound)
+
+    return st.builds(
+        SigmaPolynomial,
+        a=coefficient(1e-7),
+        b=coefficient(1e-5),
+        c=coefficient(1e-3),
+        e=coefficient(0.2),
+        f=coefficient(8.0),
+        d_min=st.floats(min_value=0.5, max_value=5.0),
+        d_max=st.floats(min_value=6.0, max_value=100.0),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    eta=st.floats(min_value=0.5, max_value=6.0, exclude_min=True, exclude_max=True),
+    rss_d0=st.floats(min_value=-70.0, max_value=-20.0),
+    d0=st.floats(min_value=0.1, max_value=10.0),
+    sigma=st.one_of(
+        st.none(),
+        st.builds(ConstantSigma, value=st.floats(min_value=0.0, max_value=15.0)),
+        quartics(-1.0),
+        quartics(0.0),
+    ),
+    gap=st.floats(min_value=0.01, max_value=90.0),
+    z=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
+)
+def test_max_range_matches_per_point_loop(eta, rss_d0, d0, sigma, gap, z):
+    # sensitivity = rss_d0 - gap: max_range rejects one at or above rss_d0
+    # before it scans, and the reference leaves that check out
+    m = model(eta=eta, rss_d0=rss_d0, d0=d0, sigma=sigma)
+    sensitivity = rss_d0 - gap
+    constants = LinkConstants(receiver_sensitivity=sensitivity)
+    got = outcome(max_range, m, constants, z)
+    want = outcome(loop_max_range, m, constants, z)
+    if isinstance(want, Exception) or isinstance(got, Exception):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        return
+    # np.log10 may differ from math.log10 by one ulp, which can move a grid
+    # point across the boundary; the answers then differ within tolerance.
+    assert abs(got.max_range - want.max_range) <= RANGE_TOLERANCE
+    if side(sigma, got.max_range) == side(sigma, want.max_range):
+        assert got.clamped == want.clamped
+        if got.max_range == want.max_range or got.clamped:
+            assert got.margin_db == want.margin_db

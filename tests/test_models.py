@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from rssifit import (
@@ -20,6 +21,7 @@ from rssifit import (
     sigma_at,
     two_ray_rx,
 )
+from rssifit.models import mean_rss_curve, sigma_curve
 
 
 def test_free_space_power_quarters_when_distance_doubles():
@@ -77,6 +79,23 @@ def test_constant_sigma_never_clamps():
     s = ConstantSigma(2.0)
     assert sigma_at(s, 0.001) == (2.0, False)
     assert sigma_at(s, 1e6) == (2.0, False)
+
+
+def test_curves_match_scalar_evaluations():
+    d = np.geomspace(0.3, 1e6, 301)
+    m = ShadowedPathLossModel(d0=1.5, rss_d0=-47.3, eta=2.31)
+    # np.log10 and math.log10 may differ in the last place
+    np.testing.assert_allclose(
+        mean_rss_curve(m, d),
+        [predict_mean_rss(m, float(x)) for x in d],
+        rtol=0.0,
+        atol=1e-12,
+    )
+    for sigma in (
+        SigmaPolynomial(a=2.6e-6, b=0.0062, c=-0.23, e=2.4, f=-1.7, d_min=1.0, d_max=20.0),
+        ConstantSigma(3.5),
+    ):
+        assert sigma_curve(sigma, d).tolist() == [sigma_at(sigma, float(x)).value for x in d]
 
 
 def test_shadow_pdf_matches_gaussian_density():

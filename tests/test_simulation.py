@@ -169,6 +169,23 @@ def test_spec_validation():
         SimulationSpec(model=MODEL, distances=(1.0,), samples_per_distance=1, seed=1.5)
 
 
+def test_seeds_outside_64_bits_are_rejected():
+    # mod 2**64, seed -1 would alias 2**64 - 1 and seed 2**64 would alias 0
+    for seed in (-1, 2**64):
+        with pytest.raises(DataError, match="seed"):
+            spec(seed=seed)
+
+
+def test_largest_seed_keeps_its_survey():
+    survey = simulate_survey(
+        spec(distances=(1.0, 2.0), samples_per_distance=3, seed=2**64 - 1)
+    )
+    assert survey.rows == (
+        (1.0, (-40.07931615939022, -37.91308645345074, -39.39670480579445)),
+        (2.0, (-46.00628000236753, -44.36252635648892, -46.358122858348544)),
+    )
+
+
 def test_survey_carries_generator_provenance():
     survey = simulate_survey(spec(seed=7))
     meta = dict(survey.metadata)
