@@ -87,5 +87,8 @@ print("density of the deviation psi = observed - mean:")
 for psi in np.linspace(-4.0, 4.0, 5):
     print(f"  p(psi = {psi:+5.1f} dB) = {shadow_pdf(psi, sd):.4f}")
 psi_grid = np.linspace(-16.0, 16.0, 2001)
-mass = np.trapz([shadow_pdf(p, sd) for p in psi_grid], psi_grid)
+density = np.array([shadow_pdf(p, sd) for p in psi_grid])
+# trapezoid rule, written out: np.trapz is gone in numpy 2, np.trapezoid
+# is missing before it
+mass = float(np.sum((density[1:] + density[:-1]) * np.diff(psi_grid)) / 2.0)
 print(f"numerical integral over +/-8 SD: {mass:.6f} (should be ~1)")

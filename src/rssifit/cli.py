@@ -22,6 +22,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -59,8 +60,20 @@ OUTPUT_FORMAT_VERSION = 1
 FORMATS = ("text", "json", "csv")
 
 
+# Negative numbers in plain or scientific notation, and -inf/-nan. argparse's
+# own pattern knows only -73 and -9.5, so it took -1e6 for an option and left
+# the flag before it without its value.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE
+)
+
+
 class _Parser(argparse.ArgumentParser):
     """Argparse that reports usage problems through the exit-1 error path."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise DataError(f"{self.prog}: {message}")

@@ -129,6 +129,16 @@ def _sigma_for(model: ShadowedPathLossModel, d: float) -> tuple[float, bool]:
     return value, clamped
 
 
+def _uninvertible_endpoint(
+    name: str, sign: str, rss: float, level: float, shifted: float
+) -> DataError:
+    return DataError(
+        f"the {name} endpoint of the {level!r} interval for rss {rss!r} dBm "
+        f"cannot be inverted: rss {sign} z*sigma = {shifted:.6g} dBm is "
+        "outside the range the model can invert"
+    )
+
+
 def confidence_interval(
     model: ShadowedPathLossModel, rss: float, level: float = 0.95
 ) -> LocalizationEstimate:
@@ -144,10 +154,20 @@ def confidence_interval(
     d_hat = estimate_distance(model, rss)
     sigma, clamped = _sigma_for(model, d_hat)
     z = NormalDist().inv_cdf((1.0 + level) / 2.0)
+    shifted = rss + z * sigma
+    try:
+        d_lo = estimate_distance(model, shifted)
+    except DataError:
+        raise _uninvertible_endpoint("lower", "+", rss, level, shifted) from None
+    shifted = rss - z * sigma
+    try:
+        d_hi = estimate_distance(model, shifted)
+    except DataError:
+        raise _uninvertible_endpoint("upper", "-", rss, level, shifted) from None
     return LocalizationEstimate(
         d_hat=d_hat,
-        d_lo=estimate_distance(model, rss + z * sigma),
-        d_hi=estimate_distance(model, rss - z * sigma),
+        d_lo=d_lo,
+        d_hi=d_hi,
         level=level,
         sigma_used=sigma,
         clamped=clamped,

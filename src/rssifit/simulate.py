@@ -35,8 +35,8 @@ from .models import ShadowedPathLossModel, predict_mean_rss, sigma_at
 from .surveys import RssiSurvey
 
 _GOLDEN = 0x9E3779B97F4A7C15
-_MIX_1 = 0xBF58476D1CE4E5B9
-_MIX_2 = 0x94D049BB133111EB
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -68,44 +68,39 @@ class SimulationSpec:
             raise DataError(f"seed must be in [0, 2**64), got {self.seed!r}")
 
 
-def _mix64_int(z: int) -> int:
-    """SplitMix64 finalizer on a Python int, masked to 64 bits."""
-    z &= _U64
-    z ^= z >> 30
-    z = (z * _MIX_1) & _U64
-    z ^= z >> 27
-    z = (z * _MIX_2) & _U64
-    z ^= z >> 31
-    return z
+# The two uniform streams' offsets from k: GOLDEN and 2*GOLDEN.
+_STREAMS = np.array([_GOLDEN, (2 * _GOLDEN) & _U64], dtype=np.uint64)[:, None, None]
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, elementwise on a uint64 array (wrapping)."""
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX_1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX_2)
-    z = z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer, elementwise and in place on a uint64 array."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX_1
+    z ^= z >> np.uint64(27)
+    z *= _MIX_2
+    z ^= z >> np.uint64(31)
     return z
 
 
-def _unit(w: np.ndarray) -> np.ndarray:
-    """Map uint64 to (0, 1]: top 53 bits, shifted off zero."""
-    return ((w >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+def _normals(seed: int, rows: np.ndarray, count: int) -> np.ndarray:
+    """The documented draws for distance indices ``rows``, shape (rows, count).
+
+    Row r of the result depends only on (seed, rows[r], j), so any subset of
+    rows, in any order, gets the same values it would get on its own.
+    """
+    golden = np.uint64(_GOLDEN)
+    i = np.asarray(rows, dtype=np.uint64) + np.uint64(1)
+    h = _mix64(np.uint64(seed & _U64) + golden * i)
+    j = np.arange(1, count + 1, dtype=np.uint64)
+    k = _mix64(h[:, None] + golden * j)
+    # unit(w) = ((w >> 11) + 1) * 2^-53 lies in (0, 1], so log is defined.
+    u1, u2 = ((_mix64(k + _STREAMS) >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
 
 
 def standard_normals(seed: int, distance_index: int, count: int) -> np.ndarray:
     """The deterministic standard-normal draws for one distance row."""
-    # Scalar stage in exact Python ints (numpy warns on scalar overflow);
-    # vector stage in uint64 arrays, where wraparound is silent and defined.
-    h = _mix64_int(seed + _GOLDEN * (distance_index + 1))
-    golden = np.uint64(_GOLDEN)
-    golden2 = np.uint64((2 * _GOLDEN) & _U64)
-    j = np.arange(1, count + 1, dtype=np.uint64)
-    k = _mix64(np.uint64(h) + golden * j)
-    u1 = _unit(_mix64(k + golden))
-    u2 = _unit(_mix64(k + golden2))
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    return _normals(seed, np.array([distance_index & _U64]), count)[0]
 
 
 def simulate_survey(spec: SimulationSpec) -> RssiSurvey:
@@ -116,27 +111,29 @@ def simulate_survey(spec: SimulationSpec) -> RssiSurvey:
     sigma identically zero) yields noiseless samples equal to the mean trend.
     """
     model = spec.model
-    rows = []
-    for i, d in enumerate(spec.distances):
-        mean = predict_mean_rss(model, d)
+    means, sigmas = [], []
+    for d in spec.distances:
+        means.append(predict_mean_rss(model, d))
         if model.sigma is None:
-            sigma = 0.0
-        else:
-            sigma = sigma_at(model.sigma, d).value
-            if sigma < 0:
-                raise DataError(
-                    f"sigma model is negative ({sigma:.4g} dB) at "
-                    f"d = {d:.4g} m; cannot simulate"
-                )
-        if sigma == 0.0:
-            samples = np.full(spec.samples_per_distance, mean)
-        else:
-            z = standard_normals(spec.seed, i, spec.samples_per_distance)
-            samples = mean + sigma * z
-        rows.append((float(d), tuple(float(s) for s in samples)))
+            sigmas.append(0.0)
+            continue
+        sigma = sigma_at(model.sigma, d).value
+        if sigma < 0:
+            raise DataError(
+                f"sigma model is negative ({sigma:.4g} dB) at "
+                f"d = {d:.4g} m; cannot simulate"
+            )
+        sigmas.append(sigma)
+    n = spec.samples_per_distance
+    samples = np.repeat(np.array(means)[:, None], n, axis=1)
+    sigmas = np.array(sigmas)
+    # Rows with sigma == 0 draw nothing and stay exactly at the mean.
+    noisy = np.flatnonzero(sigmas)
+    if noisy.size:
+        samples[noisy] += sigmas[noisy, None] * _normals(spec.seed, noisy, n)
     return RssiSurvey(
         site=spec.site,
-        rows=tuple(rows),
+        rows=tuple(zip(map(float, spec.distances), map(tuple, samples.tolist()))),
         metadata=(
             ("generator", "splitmix64-boxmuller-v1"),
             ("seed", str(spec.seed)),

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import DataError, InsufficientDataError
 
@@ -43,14 +46,11 @@ class RssiSurvey:
         checked = []
         for distance, samples in self.rows:
             distance = _check_distance(distance)
+            samples = tuple(map(float, samples))
             if not samples:
                 raise DataError(f"no samples at distance {distance} m")
-            samples = tuple(float(s) for s in samples)
-            for s in samples:
-                if not math.isfinite(s):
-                    raise DataError(
-                        f"non-finite RSSI sample at distance {distance} m"
-                    )
+            if not all(map(math.isfinite, samples)):
+                raise DataError(f"non-finite RSSI sample at distance {distance} m")
             checked.append((distance, samples))
         object.__setattr__(self, "rows", tuple(checked))
 
@@ -130,24 +130,36 @@ def survey_stats(survey: RssiSurvey) -> SurveyStats:
     Rows at the same distance are pooled before computing the mean and the
     n-1 sample standard deviation. Each pooled distance needs at least two
     samples, otherwise the standard deviation is undefined.
+
+    Sums run left to right over the pooled samples in row order (bincount
+    adds in input order), and squared deviations are exact IEEE products, so
+    the result does not depend on the interpreter's ``sum`` or libm's ``pow``.
     """
-    pooled: dict[float, list[float]] = {}
-    for distance, samples in survey.rows:
-        pooled.setdefault(distance, []).extend(samples)
-    out = []
-    for distance in sorted(pooled):
-        samples = pooled[distance]
-        n = len(samples)
-        if n < 2:
-            raise InsufficientDataError(
-                f"need at least 2 samples at distance {distance} m to "
-                f"estimate a standard deviation, got {n}"
-            )
-        mean = sum(samples) / n
-        var = sum((s - mean) ** 2 for s in samples) / (n - 1)
-        out.append(
-            DistanceStats(
-                distance=distance, mean_rss=mean, sd=math.sqrt(var), n=n
-            )
+    lengths = [len(samples) for _, samples in survey.rows]
+    flat = np.fromiter(
+        chain.from_iterable(samples for _, samples in survey.rows),
+        dtype=np.float64,
+        count=sum(lengths),
+    )
+    distances, group = np.unique(
+        [distance for distance, _ in survey.rows], return_inverse=True
+    )
+    group = np.repeat(group, lengths)
+    n = np.bincount(group, minlength=distances.size)
+    short = np.flatnonzero(n < 2)
+    if short.size:
+        i = short[0]
+        raise InsufficientDataError(
+            f"need at least 2 samples at distance {float(distances[i])} m to "
+            f"estimate a standard deviation, got {n[i]}"
         )
-    return SurveyStats(site=survey.site, rows=tuple(out), metadata=survey.metadata)
+    means = np.bincount(group, weights=flat, minlength=distances.size) / n
+    dev = flat - means[group]
+    var = np.bincount(group, weights=dev * dev, minlength=distances.size) / (n - 1)
+    out = tuple(
+        DistanceStats(distance=d, mean_rss=m, sd=math.sqrt(v), n=k)
+        for d, m, v, k in zip(
+            distances.tolist(), means.tolist(), var.tolist(), n.tolist()
+        )
+    )
+    return SurveyStats(site=survey.site, rows=out, metadata=survey.metadata)

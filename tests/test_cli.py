@@ -350,3 +350,24 @@ def test_csv_format_emits_residual_table(capsys):
     lines = out.splitlines()
     assert lines[0] == "distance_m,observed_dbm,fitted_dbm,residual_db,y_db"
     assert len(lines) == 21
+
+
+def test_negative_scientific_notation_values_parse_like_attached_ones(
+    capsys, tmp_path
+):
+    model_path = tmp_path / "m.json"
+    model_path.write_bytes(
+        model_to_json(ShadowedPathLossModel(d0=1.0, rss_d0=-40.0, eta=2.0))
+    )
+    # a separate -1e6 used to be taken for an option: "expected one argument"
+    rc, out, err = run(capsys, "localize", "--model", str(model_path), "--rss", "-1e6")
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "rss -1000000.0 dBm" in lines[0]
+    plan = ("plan", "--model", str(model_path), "--format", "json")
+    rc, out, err = run(capsys, *plan, "--sensitivity", "-9.5e1")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["sensitivity_dbm"] == -95.0
+    assert run(capsys, *plan, "--sensitivity=-9.5e1") == (rc, out, err)

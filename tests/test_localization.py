@@ -317,3 +317,18 @@ def test_max_range_matches_per_point_loop(eta, rss_d0, d0, sigma, gap, z):
         assert got.clamped == want.clamped
         if got.max_range == want.max_range or got.clamped:
             assert got.margin_db == want.margin_db
+
+
+def test_uninvertible_endpoint_error_names_the_reading():
+    # rss - z*sigma = -6000 - 4.89*300 = -7467 dBm overflows 10**x
+    m = model(sigma=ConstantSigma(300.0))
+    with pytest.raises(DataError) as info:
+        confidence_interval(m, -6000.0, level=0.999999)
+    message = str(info.value)
+    assert "rss -6000.0 dBm" in message
+    assert "0.999999" in message
+    assert "upper endpoint" in message
+    assert "rss -7467" not in message
+    # rss + z*sigma = 7467 dBm underflows the distance to 0
+    with pytest.raises(DataError, match="lower endpoint .* rss 6000.0 dBm"):
+        confidence_interval(m, 6000.0, level=0.999999)

@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rssifit import (
     ConstantSigma,
     DataError,
+    RssiSurvey,
     ShadowedPathLossModel,
     SigmaPolynomial,
     SimulationSpec,
     fit_path_loss,
     predict_mean_rss,
+    sigma_at,
     simulate_survey,
     standard_normals,
     survey_stats,
@@ -191,3 +195,136 @@ def test_survey_carries_generator_provenance():
     meta = dict(survey.metadata)
     assert meta["generator"] == "splitmix64-boxmuller-v1"
     assert meta["seed"] == "7"
+
+
+def per_row_simulate_survey(spec):
+    """The row-at-a-time simulator: one generator call per distance."""
+    model = spec.model
+    rows = []
+    for i, d in enumerate(spec.distances):
+        mean = predict_mean_rss(model, d)
+        if model.sigma is None:
+            sigma = 0.0
+        else:
+            sigma = sigma_at(model.sigma, d).value
+            if sigma < 0:
+                raise DataError(
+                    f"sigma model is negative ({sigma:.4g} dB) at "
+                    f"d = {d:.4g} m; cannot simulate"
+                )
+        if sigma == 0.0:
+            samples = np.full(spec.samples_per_distance, mean)
+        else:
+            z = standard_normals(spec.seed, i, spec.samples_per_distance)
+            samples = mean + sigma * z
+        rows.append((float(d), tuple(float(s) for s in samples)))
+    return RssiSurvey(
+        site=spec.site,
+        rows=tuple(rows),
+        metadata=(
+            ("generator", "splitmix64-boxmuller-v1"),
+            ("seed", str(spec.seed)),
+        ),
+    )
+
+
+def bits(survey):
+    """Every distance and sample as its exact bit pattern (keeps -0.0)."""
+    return [(d.hex(), [s.hex() for s in row]) for d, row in survey.rows]
+
+
+def outcome(simulate, spec):
+    try:
+        survey = simulate(spec)
+    except DataError as exc:
+        return ("error", str(exc))
+    return (bits(survey), survey.site, survey.metadata)
+
+
+coefficient = st.floats(-0.05, 0.05, allow_subnormal=False)
+sigma_models = st.one_of(
+    st.none(),
+    st.builds(ConstantSigma, st.floats(0.0, 12.0)),
+    st.builds(
+        SigmaPolynomial,
+        a=coefficient.map(lambda c: c * 1e-3),
+        b=coefficient.map(lambda c: c * 1e-2),
+        c=coefficient,
+        e=st.floats(-1.0, 1.0),
+        f=st.floats(-2.0, 8.0),
+        d_min=st.just(1.0),
+        d_max=st.floats(2.0, 40.0),
+    ),
+)
+models = st.builds(
+    ShadowedPathLossModel,
+    d0=st.floats(0.1, 10.0),
+    rss_d0=st.floats(-100.0, 0.0),
+    eta=st.floats(0.5, 6.0),
+    sigma=sigma_models,
+)
+seeds = st.one_of(st.just(2**64 - 1), st.just(0), st.integers(0, 2**64 - 1))
+distance_lists = st.lists(st.floats(0.1, 1e4), min_size=1, max_size=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    model=models,
+    distances=distance_lists,
+    samples=st.integers(1, 50),
+    seed=seeds,
+)
+@example(
+    # sigma(2) = 2 - 2 is exactly zero: a silent row between noisy ones
+    model=ShadowedPathLossModel(
+        d0=1.0,
+        rss_d0=-40.0,
+        eta=2.0,
+        sigma=SigmaPolynomial(a=0, b=0, c=0, e=1.0, f=-2.0, d_min=1.0, d_max=20.0),
+    ),
+    distances=[3.0, 2.0, 5.0, 2.0],
+    samples=4,
+    seed=2**64 - 1,
+)
+def test_simulate_survey_matches_per_row_loop(model, distances, samples, seed):
+    s = SimulationSpec(
+        model=model,
+        distances=tuple(distances),
+        samples_per_distance=samples,
+        seed=seed,
+    )
+    assert outcome(simulate_survey, s) == outcome(per_row_simulate_survey, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=models,
+    distances=distance_lists,
+    extra_distances=st.lists(st.floats(0.1, 1e4), max_size=10),
+    samples=st.integers(1, 50),
+    extra_samples=st.integers(0, 30),
+    seed=seeds,
+)
+def test_growing_a_survey_never_changes_generated_values(
+    model, distances, extra_distances, samples, extra_samples, seed
+):
+    # the documented contract: each value is a function of (seed, i, j) only
+    def run(ds, n):
+        return outcome(
+            simulate_survey,
+            SimulationSpec(
+                model=model, distances=tuple(ds), samples_per_distance=n, seed=seed
+            ),
+        )
+
+    short = run(distances, samples)
+    long = run(distances + extra_distances, samples + extra_samples)
+    if short[0] == "error":
+        # the first negative sigma among the original distances comes first
+        assert long == short
+        return
+    if long[0] == "error":
+        return  # a negative sigma at an appended distance
+    for (d, row), (d_long, row_long) in zip(short[0], long[0]):
+        assert d == d_long
+        assert row_long[:samples] == row

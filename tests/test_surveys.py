@@ -1,8 +1,11 @@
 """Raw survey containers and per-distance summarization."""
 
+import math
 import statistics
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rssifit import (
     DataError,
@@ -90,3 +93,65 @@ def test_sample_count_totals():
         site="lab", rows=((1.0, (-50.0, -51.0)), (2.0, (-60.0, -61.0, -62.0)))
     )
     assert survey.n_samples == 5
+
+
+def per_row_survey_stats(survey):
+    """Pool, then sum with explicit left-to-right ``acc += x`` loops.
+
+    Not ``sum()``: from CPython 3.12 it adds floats with compensation, so a
+    reference built on it would change with the interpreter.
+    """
+    pooled = {}
+    for distance, samples in survey.rows:
+        pooled.setdefault(distance, []).extend(samples)
+    rows = []
+    for distance in sorted(pooled):
+        samples = pooled[distance]
+        n = len(samples)
+        if n < 2:
+            raise InsufficientDataError(
+                f"need at least 2 samples at distance {distance} m to "
+                f"estimate a standard deviation, got {n}"
+            )
+        acc = 0.0
+        for s in samples:
+            acc += s
+        mean = acc / n
+        acc = 0.0
+        for s in samples:
+            dev = s - mean
+            acc += dev * dev
+        rows.append((distance, mean, math.sqrt(acc / (n - 1)), n))
+    return rows
+
+
+def stats_outcome(summarize, survey):
+    try:
+        stats = summarize(survey)
+    except InsufficientDataError as exc:
+        return ("error", str(exc))
+    if isinstance(stats, SurveyStats):
+        stats = [(r.distance, r.mean_rss, r.sd, r.n) for r in stats.rows]
+    return [(d.hex(), m.hex(), sd.hex(), n) for d, m, sd, n in stats]
+
+
+survey_rows = st.lists(
+    st.tuples(
+        # a small pool of distances, so repeats come in any order
+        st.sampled_from((0.5, 1.0, 2.0, 3.5, 20.0)),
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=survey_rows)
+@example(rows=[(2.0, [-50.0]), (1.0, [-40.0, -41.0]), (2.0, [-52.0])])
+@example(rows=[(1.0, [-40.0, -41.0]), (3.5, [-60.0])])
+def test_survey_stats_matches_per_row_reference(rows):
+    survey = RssiSurvey(site="lab", rows=tuple((d, tuple(s)) for d, s in rows))
+    assert stats_outcome(survey_stats, survey) == stats_outcome(
+        per_row_survey_stats, survey
+    )
