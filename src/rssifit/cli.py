@@ -410,6 +410,11 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+def _metres(value: float) -> str:
+    """Fixed point to the millimetre where that keeps the magnitude."""
+    return f"{value:.3f}" if 1e-3 <= value < 1e9 else f"{value:.4g}"
+
+
 def _cmd_localize(args) -> int:
     model = _load_model(args.model)
     if model.sigma is None:
@@ -462,11 +467,12 @@ def _cmd_localize(args) -> int:
             ],
         )
     else:
-        print(f"d_hat = {payload['d_hat_m']:.3f} m  (rss {args.rss:g} dBm)")
+        d_hat = _metres(payload["d_hat_m"])
+        print(f"d_hat = {d_hat} m  (rss {args.rss:g} dBm)")
         if payload["d_lo_m"] is not None:
+            d_lo, d_hi = _metres(payload["d_lo_m"]), _metres(payload["d_hi_m"])
             print(
-                f"{payload['level']:.0%} interval: "
-                f"[{payload['d_lo_m']:.3f}, {payload['d_hi_m']:.3f}] m   "
+                f"{payload['level']:.0%} interval: [{d_lo}, {d_hi}] m   "
                 f"sigma = {payload['sigma_db']:.3f} dB"
             )
         if payload["warning"]:

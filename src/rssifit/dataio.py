@@ -9,7 +9,10 @@ Survey CSV  header ``site,distance_m,rssi_dbm``, one sample per row. A file
             holds one site. Loading pools rows by distance in order of first
             appearance, so a survey whose distances are distinct round-trips
             exactly; one with repeated distance rows reloads in the pooled
-            form.
+            form. A well-formed file is parsed in bulk by ``np.loadtxt``;
+            anything else goes through a row loop over ``csv.reader``, so
+            results, error messages and line numbers are those of the row
+            loop either way.
 
 Stats CSV   header ``distance_m,mean_dbm,sd_db,prr_pct,n``, one distance per
             row, mirroring the embedded survey tables. ``prr_pct`` may be
@@ -19,6 +22,11 @@ Stats CSV   header ``distance_m,mean_dbm,sd_db,prr_pct,n``, one distance per
 Model JSON  strict versioned document (``format_version`` 1). Unknown fields
             are rejected with their path rather than ignored: a misspelled
             field that silently defaulted would corrupt a calibration.
+
+A CSV file that is not UTF-8 (named by byte offset), or that the csv module
+cannot parse, such as a bare CR inside a line or a field over the csv field
+limit (named by line), raises :class:`FormatError` like any other malformed
+file.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ import io
 import json
 import math
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DataError, FormatError
 from .models import ConstantSigma, ShadowedPathLossModel, SigmaPolynomial
@@ -71,6 +81,15 @@ def _parse_int(text: str, line: int, column: str) -> int:
         ) from None
 
 
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"byte {exc.start}: not valid UTF-8 ({exc.reason})"
+        ) from None
+
+
 def _check_header(row: list[str] | None, expected: tuple[str, ...]) -> None:
     if row is None:
         raise FormatError(f"line 1: empty file, expected header "
@@ -82,11 +101,32 @@ def _check_header(row: list[str] | None, expected: tuple[str, ...]) -> None:
         )
 
 
-def _check_width(row: list[str], line: int, expected: int) -> None:
-    if len(row) != expected:
+def _records(text: str, header: tuple[str, ...]):
+    """Yield ``(line, fields)`` for each data row after checking the header.
+
+    Blank lines, rows of the wrong width and records the csv module cannot
+    parse (a bare CR, an over-long field) raise :class:`FormatError` naming
+    the line.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        _check_header(next(reader, None), header)
+        for row in reader:
+            line = reader.line_num
+            if not row:
+                raise FormatError(f"line {line}: blank line")
+            if len(row) != len(header):
+                raise FormatError(
+                    f"line {line}: expected {len(header)} fields, "
+                    f"got {len(row)}"
+                )
+            yield line, row
+    except csv.Error as exc:
+        # Drop the module's advice about opening files in newline mode.
+        reason = str(exc).split(" - ")[0]
         raise FormatError(
-            f"line {line}: expected {expected} fields, got {len(row)}"
-        )
+            f"line {reader.line_num}: malformed CSV record: {reason}"
+        ) from None
 
 
 def save_survey_csv(survey: RssiSurvey) -> bytes:
@@ -102,18 +142,16 @@ def save_survey_csv(survey: RssiSurvey) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def load_survey_csv(data: bytes) -> RssiSurvey:
-    """Parse a survey file; pools repeated distances by first appearance."""
-    reader = csv.reader(io.StringIO(data.decode("utf-8")))
-    _check_header(next(reader, None), SURVEY_HEADER)
+_SURVEY_DTYPE = np.dtype(
+    [("site", object), ("distance", np.float64), ("rssi", np.float64)]
+)
+
+
+def _survey_rows(text: str) -> RssiSurvey:
+    """The reference row loop: the one place that words survey errors."""
     site = None
     pooled: dict[float, list[float]] = {}
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            raise FormatError(f"line {line}: blank line")
-        _check_width(row, line, 3)
-        row_site, d_text, rssi_text = row
+    for line, (row_site, d_text, rssi_text) in _records(text, SURVEY_HEADER):
         if site is None:
             site = row_site
         elif row_site != site:
@@ -135,6 +173,98 @@ def load_survey_csv(data: bytes) -> RssiSurvey:
         site=site,
         rows=tuple((d, tuple(samples)) for d, samples in pooled.items()),
     )
+
+
+def _survey_bulk(data: bytes, text: str) -> RssiSurvey | None:
+    """Parse a well-formed survey (``data`` decoded as ``text``) in bulk.
+
+    Returns None whenever it cannot show that the file reads exactly as the
+    row loop reads it: another header spelling; the separators
+    U+001C..U+001F, which numpy strips from numbers and ``float`` does not;
+    anything ``loadtxt`` refuses; fewer records than lines, which means
+    blank lines (``loadtxt`` skips them) or a quoted line break (a field
+    could then outgrow the csv field limit with no line doing so); a line
+    longer than that limit; and any row the row loop would reject.
+    """
+    header = ",".join(SURVEY_HEADER)
+    for newline in ("\n", "\r\n"):
+        if text.startswith(header + newline):
+            start = len(header) + len(newline)  # in bytes too: it is ASCII
+            break
+    else:
+        return None
+    line_feeds = text.count("\n", start)
+    # A body of line breaks alone would only make loadtxt warn of no data.
+    all_blank = line_feeds + text.count("\r", start) == len(text) - start
+    if all_blank or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    body = io.BytesIO(data)
+    body.seek(start)
+    try:
+        # Lines of bytes, decoded one at a time: an io.StringIO would first
+        # copy the whole text at four bytes per character.
+        table = np.loadtxt(
+            body,
+            encoding="utf-8",
+            dtype=_SURVEY_DTYPE,
+            delimiter=",",
+            comments=None,
+            quotechar='"',
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    lines = line_feeds + (not text.endswith("\n"))
+    if table.size != lines or _longest_line(data) > csv.field_size_limit():
+        return None
+    site = table["site"][0]
+    if not np.all(table["site"] == site):
+        return None
+    # Copying the numbers out frees the per-row site strings.
+    distance, rssi = table["distance"].copy(), table["rssi"].copy()
+    del table
+    if not (
+        np.all(np.isfinite(distance))
+        and np.all(distance > 0)
+        and np.all(np.isfinite(rssi))
+    ):
+        return None
+    # Pool by distance in order of first appearance, samples in file order.
+    unique, first, inverse = np.unique(
+        distance, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    group = np.empty_like(order)
+    group[order] = np.arange(order.size)
+    group = group[inverse.ravel()]
+    samples = rssi[np.argsort(group, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(group)).tolist()
+    return RssiSurvey(
+        site=site,
+        rows=tuple(
+            (d, tuple(samples[lo:hi]))
+            for d, lo, hi in zip(unique[order].tolist(), [0, *ends], ends)
+        ),
+    )
+
+
+def _longest_line(data: bytes) -> int:
+    """Bytes in the longest line, newline excluded; no line has more
+    characters than that."""
+    breaks = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10)
+    edges = np.concatenate(([-1], breaks, [len(data)]))
+    return int(np.max(np.diff(edges))) - 1
+
+
+def load_survey_csv(data: bytes) -> RssiSurvey:
+    """Parse a survey file; pools repeated distances by first appearance.
+
+    A well-formed file is read in bulk; any other input goes through the
+    row loop, which returns the same survey or raises the same error.
+    """
+    text = _decode(data)
+    survey = _survey_bulk(data, text)
+    return _survey_rows(text) if survey is None else survey
 
 
 def _stats_rows(stats: SurveyStats | Sequence[DistanceStats]):
@@ -163,14 +293,8 @@ def save_stats_csv(stats: SurveyStats | Sequence[DistanceStats]) -> bytes:
 
 def load_stats_csv(data: bytes, site: str = "stats") -> SurveyStats:
     """Parse a statistics file into per-distance summaries."""
-    reader = csv.reader(io.StringIO(data.decode("utf-8")))
-    _check_header(next(reader, None), STATS_HEADER)
     rows = []
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            raise FormatError(f"line {line}: blank line")
-        _check_width(row, line, 5)
+    for line, row in _records(_decode(data), STATS_HEADER):
         d_text, mean_text, sd_text, prr_text, n_text = row
         try:
             rows.append(

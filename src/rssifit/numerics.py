@@ -145,15 +145,20 @@ def orthogonal_solve(system: DenseSystem) -> np.ndarray:
     return _back_substitute(r, q.T @ system.rhs)
 
 
-def solve_dense(system: DenseSystem) -> tuple[np.ndarray, SolveDiagnostics]:
+def solve_dense(
+    system: DenseSystem, *, cond: float | None = None
+) -> tuple[np.ndarray, SolveDiagnostics]:
     """Solve A x = b, choosing elimination or QR by condition estimate.
 
     Elimination with partial pivoting is the primary path. When the condition
     estimate exceeds :data:`CONDITION_FALLBACK` the solve is redone through
     QR and the diagnostics say so. An exactly singular matrix raises
-    :class:`SingularMatrixError` from either path.
+    :class:`SingularMatrixError` from either path. ``cond`` is the
+    condition estimate of ``system.matrix`` when the caller already has it;
+    otherwise it is computed here.
     """
-    cond = float(np.linalg.cond(system.matrix))
+    if cond is None:
+        cond = float(np.linalg.cond(system.matrix))
     if not np.isfinite(cond) or cond > CONDITION_FALLBACK:
         x = orthogonal_solve(system)
         return x, SolveDiagnostics(
@@ -240,7 +245,7 @@ def _fit_moments(
     system = _moment_system(d, y, degree)
     cond = float(np.linalg.cond(system.matrix))
     if np.isfinite(cond) and cond <= CONDITION_FALLBACK:
-        coeffs, diag = solve_dense(system)
+        coeffs, diag = solve_dense(system, cond=cond)
         return tuple(float(c) for c in coeffs), diag
     # Raw moments are numerically hopeless here. Refit in s = d/d_max, where
     # all powers stay within [0, 1], then undo the scaling per coefficient:

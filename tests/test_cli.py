@@ -371,3 +371,48 @@ def test_negative_scientific_notation_values_parse_like_attached_ones(
     assert rc == 0 and err == ""
     assert json.loads(out)["sensitivity_dbm"] == -95.0
     assert run(capsys, *plan, "--sensitivity=-9.5e1") == (rc, out, err)
+
+
+def test_fit_rejects_undecodable_or_malformed_stats_files(capsys, tmp_path):
+    header = b"distance_m,mean_dbm,sd_db,prr_pct,n\n"
+    for body, where in (
+        (b"1,-50,1\xff,,20\n", "byte 43"),
+        (b"1,-50,1\r,,20\n", "line 2"),
+    ):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(header + body)
+        rc, out, err = run(capsys, "fit", str(path))
+        assert rc == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {where}: ")
+
+
+def test_localize_text_interval_keeps_the_magnitude_of_extreme_endpoints(
+    capsys, tmp_path
+):
+    model_path = tmp_path / "m.json"
+    for sigma, rss, expected in (
+        (
+            SigmaPolynomial(a=0, b=0, c=0, e=0, f=2.0, d_min=1.0, d_max=100.0),
+            "-60",
+            "95% interval: [6.368, 15.703] m   sigma = 2.000 dB",
+        ),
+        (
+            ConstantSigma(300.0),
+            "-73",
+            "95% interval: [1.78e-28, 1.121e+31] m   sigma = 300.000 dB",
+        ),
+    ):
+        model_path.write_bytes(
+            model_to_json(
+                ShadowedPathLossModel(
+                    d0=1.0, rss_d0=-40.0, eta=2.0, sigma=sigma
+                )
+            )
+        )
+        rc, out, err = run(
+            capsys, "localize", "--model", str(model_path), "--rss", rss
+        )
+        assert rc == 0, err
+        assert out.splitlines()[1] == expected

@@ -1,8 +1,11 @@
 """Codec round trips, format validation, and canonical exports."""
 
+import csv
 import hashlib
+import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,7 @@ from rssifit import (
     save_stats_csv,
     save_survey_csv,
 )
+from rssifit import dataio
 
 # sha256 of the canonical stats exports, pinned against silent edits to the
 # embedded tables or the renderer
@@ -321,3 +325,224 @@ def test_site_with_line_break_cannot_be_saved():
 def test_quoted_site_with_comma_round_trips():
     survey = RssiSurvey(site="mine, level 2", rows=((1.0, (-50.0, -51.0)),))
     assert load_survey_csv(save_survey_csv(survey)) == survey
+
+
+# -- bulk survey loading against the row loop it replaced ---------------------
+# The loader as it was before bulk parsing, kept verbatim (with its helpers)
+# as the reference for the differential property below.
+
+
+def _ref_parse_float(text: str, line: int, column: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise FormatError(
+            f"line {line}, column {column!r}: not a number: {text!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise FormatError(
+            f"line {line}, column {column!r}: value must be finite, "
+            f"got {text!r}"
+        )
+    return value
+
+
+def _ref_check_header(row, expected) -> None:
+    if row is None:
+        raise FormatError(f"line 1: empty file, expected header "
+                          f"{','.join(expected)!r}")
+    if tuple(row) != expected:
+        raise FormatError(
+            f"line 1: bad header {','.join(row)!r}, "
+            f"expected {','.join(expected)!r}"
+        )
+
+
+def _ref_check_width(row, line: int, expected: int) -> None:
+    if len(row) != expected:
+        raise FormatError(
+            f"line {line}: expected {expected} fields, got {len(row)}"
+        )
+
+
+def reference_load_survey_csv(data: bytes) -> RssiSurvey:
+    """Parse a survey file; pools repeated distances by first appearance."""
+    reader = csv.reader(io.StringIO(data.decode("utf-8")))
+    _ref_check_header(next(reader, None), dataio.SURVEY_HEADER)
+    site = None
+    pooled: dict[float, list[float]] = {}
+    for row in reader:
+        line = reader.line_num
+        if not row:
+            raise FormatError(f"line {line}: blank line")
+        _ref_check_width(row, line, 3)
+        row_site, d_text, rssi_text = row
+        if site is None:
+            site = row_site
+        elif row_site != site:
+            raise FormatError(
+                f"line {line}: site {row_site!r} differs from {site!r}; "
+                "a survey file holds one site"
+            )
+        distance = _ref_parse_float(d_text, line, "distance_m")
+        if distance <= 0:
+            raise FormatError(
+                f"line {line}, column 'distance_m': must be > 0, "
+                f"got {d_text!r}"
+            )
+        rssi = _ref_parse_float(rssi_text, line, "rssi_dbm")
+        pooled.setdefault(distance, []).append(rssi)
+    if site is None:
+        raise FormatError("line 2: no data rows")
+    return RssiSurvey(
+        site=site,
+        rows=tuple((d, tuple(samples)) for d, samples in pooled.items()),
+    )
+
+
+def _outcome(load, data: bytes):
+    """A loader's result in comparable form: repr keeps the sign of zero."""
+    try:
+        survey = load(data)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc), str(exc)
+    return survey.site, repr(survey.rows)
+
+
+# Numbers both parsers read alike, then ones where they differ or that the
+# row loop rejects.
+GOOD_NUMBERS = ("1", "2.0", "-51.25", "-0", "+1", ".5", "1.", "1E-2", " 1",
+                "1 ", "\t2", "\xa01", '"3"', '" -2"')
+ODD_NUMBERS = ("0", "-1", "1e400", "-1e400", "1e-400", "nan", "-nan", "inf",
+               "Infinity", "-inf", "1_0", "\u0661", "1\x1c", "\x1f1", "1\x00",
+               '"3"x', "0x10", "1e", "", "abc")
+SITES = ("A", "face A", " A", "A ", "a,b", 'a"b', "a\nb", "a\r\nb", "",
+         "\ufeffA", "A\x1c", "A\x0c", "mine, level 2")
+DEFECTS = ("none",) * 6 + ("odd-number",) * 3 + (
+    "blank", "blank-first", "space", "short", "long",
+    "other-site", "bare-cr", "trailing-blank", "header", "no-rows", "not-utf8",
+)
+
+
+def _site_field(site: str, quoted: bool) -> str:
+    if quoted or any(c in site for c in ',"\r\n'):
+        return '"' + site.replace('"', '""') + '"'
+    return site
+
+
+@st.composite
+def raw_survey_csv(draw):
+    """Raw survey text: a well-formed file with at most one defect."""
+    defect = draw(st.sampled_from(DEFECTS))
+    ending = draw(st.sampled_from(("\n", "\r\n")))
+    site = draw(st.sampled_from(SITES))
+    quoted = draw(st.booleans())
+    distances = draw(
+        st.lists(st.sampled_from(("1", "2", "2.0", "3", "10", "0.5", "+7")),
+                 min_size=1, max_size=4)
+    )
+    n_rows = draw(st.integers(min_value=0 if defect == "no-rows" else 1,
+                              max_value=0 if defect == "no-rows" else 8))
+    lines = []
+    for _ in range(n_rows):
+        rssi = draw(st.one_of(st.integers(-99, -10).map(str),
+                              st.sampled_from(GOOD_NUMBERS)))
+        d = draw(st.sampled_from(distances))
+        lines.append([_site_field(site, quoted), d, rssi])
+    if lines and defect in ("odd-number", "short", "long", "other-site"):
+        row = lines[draw(st.integers(0, len(lines) - 1))]
+        if defect == "odd-number":
+            row[draw(st.integers(1, 2))] = draw(st.sampled_from(ODD_NUMBERS))
+        elif defect == "short":
+            del row[2]
+        elif defect == "long":
+            row.append(draw(st.sampled_from(("", "1"))))
+        else:
+            other = draw(st.sampled_from(SITES))
+            row[0] = _site_field(other, draw(st.booleans()))
+    rows = [",".join(fields) for fields in lines]
+    if rows and defect == "bare-cr":
+        k = draw(st.integers(0, len(rows) - 1))
+        cut = draw(st.integers(0, len(rows[k])))
+        rows[k] = rows[k][:cut] + "\r" + rows[k][cut:]
+    if rows and defect in ("blank", "space"):
+        blank = "" if defect == "blank" else draw(st.sampled_from((" ", "\t")))
+        rows.insert(draw(st.integers(1, len(rows))), blank)
+    if defect == "blank-first":
+        rows.insert(0, "")
+    header = "site,distance_m,rssi_dbm"
+    if defect == "header":
+        header = draw(st.sampled_from(('"site",distance_m,rssi_dbm',
+                                       "site,distance,rssi_dbm",
+                                       "site,distance_m,rssi_dbm,")))
+    text = ending.join([header, *rows]) + draw(st.sampled_from((ending, "")))
+    if defect == "trailing-blank":
+        text += ending
+    data = text.encode("utf-8")
+    if defect == "not-utf8":
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+@settings(max_examples=600, deadline=None)
+@given(raw_survey_csv())
+def test_load_survey_csv_matches_row_loop(data):
+    expected = _outcome(reference_load_survey_csv, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on a body with no data
+        got = _outcome(load_survey_csv, data)
+    if expected[0] in (csv.Error, UnicodeDecodeError):
+        # These escaped the old loader; they now cross as FormatError.
+        assert got[0] is FormatError
+    else:
+        assert got == expected
+
+
+def test_well_formed_surveys_never_fall_back_to_the_row_loop(monkeypatch):
+    def row_loop(text):
+        raise AssertionError("well-formed survey fell back to the row loop")
+
+    lines = [f"{(k % 20) + 1},{-40 - k % 53}" for k in range(10_000)]
+    files = [
+        "site,distance_m,rssi_dbm\n" + "".join(f"A,{l}\n" for l in lines),
+        "site,distance_m,rssi_dbm\r\n" + "".join(f"A,{l}\r\n" for l in lines),
+        "site,distance_m,rssi_dbm\n"
+        + "".join(f'"mine, ""2""",{l}\n' for l in lines[:-1])
+        + f'"mine, ""2""",{lines[-1]}',
+    ]
+    expected = [reference_load_survey_csv(f.encode()) for f in files]
+    monkeypatch.setattr(dataio, "_survey_rows", row_loop)
+    for text, survey in zip(files, expected):
+        assert load_survey_csv(text.encode()) == survey
+    first_row = tuple(float(-40 - k % 53) for k in range(0, 10_000, 20))
+    assert expected[0].rows[0] == (1.0, first_row)
+
+
+def test_survey_fields_over_the_csv_limit_are_format_errors():
+    limit = csv.field_size_limit()
+    header = "site,distance_m,rssi_dbm\n"
+    for row in (
+        "x" * (limit + 1) + ",1,-50\n",
+        "A,1,0." + "0" * limit + "1\n",  # finite: only the limit rejects it
+        "A,1," + " " * limit + "-50\n",
+    ):
+        data = (header + "A,2,-60\n" + row).encode()
+        with pytest.raises(csv.Error):
+            reference_load_survey_csv(data)
+        with pytest.raises(FormatError, match="line 3: .*field limit"):
+            load_survey_csv(data)
+
+
+def test_undecodable_bytes_and_stray_carriage_returns_are_format_errors():
+    survey_header = b"site,distance_m,rssi_dbm\n"
+    stats_header = b"distance_m,mean_dbm,sd_db,prr_pct,n\n"
+    for load, header, row in (
+        (load_survey_csv, survey_header, b"A,1,-50\n"),
+        (load_stats_csv, stats_header, b"1,-50,1.5,,20\n"),
+    ):
+        offset = len(header) + 2
+        with pytest.raises(FormatError, match=rf"^byte {offset}: not valid UTF-8"):
+            load(header + row[:2] + b"\xff" + row[2:])
+        with pytest.raises(FormatError, match=r"^line 3: malformed CSV record"):
+            load(header + row + row.replace(b",", b"\r,", 1))

@@ -211,3 +211,18 @@ def test_polyval_horner_matches_numpy():
     np.testing.assert_allclose(
         polyval(coeffs, d), np.polyval(coeffs, d), rtol=1e-13
     )
+
+
+def test_quartic_fit_estimates_the_raw_condition_once(monkeypatch):
+    d = np.arange(1.0, 21.0)
+    y = 0.01 * d**2 + 1.0
+    expected = polyfit_quartic(d, y).diagnostics
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(
+        np.linalg, "cond", lambda m: calls.append(m.shape) or cond(m)
+    )
+    assert polyfit_quartic(d, y).diagnostics == expected
+    assert calls == [(5, 5)]
+    system = _moment_system(d, y, 4)
+    assert solve_dense(system, cond=expected.condition_estimate)[1] == expected
