@@ -141,7 +141,13 @@ def fit_path_loss(
     d = np.array(stats.distances, dtype=np.float64)
     y = np.array(stats.means, dtype=np.float64)
     # Regressor: x = 10*log10(d/d0). Slope is -eta, intercept is rss_d0.
-    x = 10.0 * np.log10(d / d0)
+    with np.errstate(over="ignore", divide="ignore"):
+        x = 10.0 * np.log10(d / d0)
+    if not np.all(np.isfinite(x)):
+        raise DataError(
+            f"d0 = {d0!r} takes d/d0 outside the float range for these "
+            "distances"
+        )
 
     if intercept_mode == "free":
         line = ols_line(x, y)
@@ -199,6 +205,27 @@ def residual_y(
     return resid
 
 
+def sigma_target(
+    stats: SurveyStats,
+    target: str = "sample_sd",
+    trend: ShadowedPathLossModel | None = None,
+) -> np.ndarray:
+    """The per-row spread observations a sigma fit is fitted to.
+
+    'sample_sd' is the SD column; 'residual_y' is the scaled residuals of
+    ``trend``, which is fitted to the same rows with defaults when omitted.
+    """
+    if target not in SIGMA_TARGETS:
+        raise DataError(
+            f"target must be one of {SIGMA_TARGETS}, got {target!r}"
+        )
+    if target == "sample_sd":
+        return np.array(stats.sds, dtype=np.float64)
+    if trend is None:
+        trend = fit_path_loss(stats).model
+    return np.array(residual_y(stats, trend), dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class SigmaFitReport:
     """Result of the quartic sigma fit."""
@@ -223,17 +250,8 @@ def fit_sigma_polynomial(
     when omitted one is fitted to the same rows with defaults. The
     polynomial's validity domain is set to the surveyed distance span.
     """
-    if target not in SIGMA_TARGETS:
-        raise DataError(
-            f"target must be one of {SIGMA_TARGETS}, got {target!r}"
-        )
+    y = sigma_target(stats, target, trend)
     d = np.array(stats.distances, dtype=np.float64)
-    if target == "sample_sd":
-        y = np.array(stats.sds, dtype=np.float64)
-    else:
-        if trend is None:
-            trend = fit_path_loss(stats).model
-        y = np.array(residual_y(stats, trend), dtype=np.float64)
     poly = polyfit_quartic(d, y)
     a, b, c, e, f = poly.coefficients
     sigma = SigmaPolynomial(
@@ -257,15 +275,7 @@ def stationarity_sums(
     optimum. Returned lowest power first.
     """
     d = np.array(stats.distances, dtype=np.float64)
-    if target == "sample_sd":
-        y = np.array(stats.sds, dtype=np.float64)
-    elif target == "residual_y":
-        if trend is None:
-            trend = fit_path_loss(stats).model
-        y = np.array(residual_y(stats, trend), dtype=np.float64)
-    else:
-        raise DataError(f"target must be one of {SIGMA_TARGETS}, got {target!r}")
-    resid = y - polyval(sigma.coefficients, d)
+    resid = sigma_target(stats, target, trend) - polyval(sigma.coefficients, d)
     return tuple(float(np.sum(resid * d**k)) for k in range(5))
 
 

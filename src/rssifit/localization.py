@@ -40,6 +40,12 @@ RANGE_SEARCH_MAX = 1e6
 RANGE_TOLERANCE = 0.01
 
 
+def check_level(level: float) -> None:
+    """Reject a confidence level outside the open interval (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise DataError(f"level must be in (0, 1), got {level!r}")
+
+
 @dataclass(frozen=True)
 class LocalizationEstimate:
     """Distance estimate with a two-sided confidence interval.
@@ -57,8 +63,7 @@ class LocalizationEstimate:
     clamped: bool
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.level < 1.0:
-            raise DataError(f"level must be in (0, 1), got {self.level!r}")
+        check_level(self.level)
         if not 0.0 < self.d_lo <= self.d_hat <= self.d_hi:
             raise DataError(
                 "interval must satisfy 0 < d_lo <= d_hat <= d_hi, got "
@@ -149,8 +154,7 @@ def confidence_interval(
     for ``level``. A stronger signal means a shorter distance, so the +z
     perturbation gives the lower endpoint.
     """
-    if not 0.0 < level < 1.0:
-        raise DataError(f"level must be in (0, 1), got {level!r}")
+    check_level(level)
     d_hat = estimate_distance(model, rss)
     sigma, clamped = _sigma_for(model, d_hat)
     z = NormalDist().inv_cdf((1.0 + level) / 2.0)

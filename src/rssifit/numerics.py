@@ -107,10 +107,7 @@ def _eliminate(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple[float, .
             factors = a[k + 1 :, k] / a[k, k]
             a[k + 1 :, k:] -= factors[:, np.newaxis] * a[k, k:]
             b[k + 1 :] -= factors * b[k]
-    x = np.empty(n, dtype=np.float64)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-    return x, tuple(pivots)
+    return _back_substitute(a, b), tuple(pivots)
 
 
 def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:

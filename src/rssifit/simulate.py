@@ -38,6 +38,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _U64 = 0xFFFFFFFFFFFFFFFF
+# The most float64 values numpy can size one array for on this platform; a
+# larger survey fails the allocation with a ValueError, not a MemoryError.
+_MAX_SAMPLES = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,11 @@ class SimulationSpec:
             raise DataError(
                 f"samples_per_distance must be >= 1, "
                 f"got {self.samples_per_distance!r}"
+            )
+        if len(self.distances) * self.samples_per_distance > _MAX_SAMPLES:
+            raise DataError(
+                f"{len(self.distances)} distances x {self.samples_per_distance} "
+                "samples are more than one float64 array can hold"
             )
         if not isinstance(self.seed, int):
             raise DataError(f"seed must be an integer, got {self.seed!r}")

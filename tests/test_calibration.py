@@ -22,6 +22,7 @@ from rssifit import (
     residual_y,
     stationarity_sums,
 )
+from rssifit.calibration import sigma_target
 
 
 def make_stats(distances, means, sds=None, prrs=None):
@@ -206,6 +207,28 @@ def test_sigma_fit_residual_target_fits_trend_when_not_given(longwall):
 def test_sigma_fit_rejects_unknown_target(longwall):
     with pytest.raises(DataError):
         fit_sigma_polynomial(longwall, target="mad")
+
+
+def test_one_sigma_target_choice_serves_the_fit_and_its_stationarity(longwall):
+    trend = fit_path_loss(longwall, intercept_mode="anchored").model
+    assert sigma_target(longwall).tolist() == list(longwall.sds)
+    assert sigma_target(longwall, "residual_y", trend).tolist() == list(
+        residual_y(longwall, trend)
+    )
+    assert sigma_target(longwall, "residual_y").tolist() == list(
+        residual_y(longwall, fit_path_loss(longwall).model)
+    )
+    sigma = fit_sigma_polynomial(longwall, "residual_y", trend).sigma
+    assert max(map(abs, stationarity_sums(longwall, sigma, "residual_y", trend))) < 1e-6
+    message = "target must be one of ('sample_sd', 'residual_y'), got 'mad'"
+    for call in (
+        lambda: sigma_target(longwall, "mad"),
+        lambda: fit_sigma_polynomial(longwall, target="mad"),
+        lambda: stationarity_sums(longwall, sigma, target="mad"),
+    ):
+        with pytest.raises(DataError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_goodness_of_fit_matches_one_line_oracles():

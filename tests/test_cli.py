@@ -1,8 +1,13 @@
 """Command-line behaviour: payloads, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rssifit import (
     embedded_dataset,
@@ -15,6 +20,7 @@ from rssifit import (
     simulate_survey,
 )
 from rssifit.cli import main
+from rssifit.errors import DataError
 from rssifit.models import ConstantSigma, ShadowedPathLossModel, SigmaPolynomial
 from rssifit.simulate import SimulationSpec
 
@@ -416,3 +422,156 @@ def test_localize_text_interval_keeps_the_magnitude_of_extreme_endpoints(
         )
         assert rc == 0, err
         assert out.splitlines()[1] == expected
+
+
+def _model_file(tmp_path, sigma=None):
+    path = tmp_path / "m.json"
+    path.write_bytes(
+        model_to_json(ShadowedPathLossModel(d0=1.0, rss_d0=-40.0, eta=2.0, sigma=sigma))
+    )
+    return str(path)
+
+
+def _one_error_line(out, err, start="error: "):
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(start), err
+
+
+def test_simulate_rejects_an_infinite_distance_range(capsys, tmp_path):
+    model = _model_file(tmp_path)
+    rc, out, err = run(
+        capsys, "simulate", "--model", model, "--distances", "1:inf", "--samples", "2"
+    )
+    assert rc == 1
+    _one_error_line(out, err, "error: bad --distances '1:inf': ")
+
+
+def test_simulate_too_large_for_memory_is_one_error_line(capsys, tmp_path):
+    model = _model_file(tmp_path, ConstantSigma(2.0))
+    # 10**15 samples need petabytes, which no 64-bit address space holds, so
+    # the allocation fails at once; 10**4 rows of them overflow numpy's size.
+    for distances in ("1:3", "1:1e4"):
+        rc, out, err = run(
+            capsys, "simulate", "--model", model, "--distances", distances,
+            "--samples", str(10**15),
+        )
+        assert rc == 1
+        _one_error_line(out, err)
+
+
+def test_fit_rejects_a_d0_whose_distance_ratio_overflows(capsys, longwall):
+    for d0 in (1e-308, 4.9e-324):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="d0"):
+                fit_path_loss(longwall, d0=d0)
+        rc, out, err = run(capsys, "fit", "longwall-face", "--d0", repr(d0))
+        assert rc == 1
+        _one_error_line(out, err)
+        assert "d0" in err
+
+
+def test_localize_rejects_a_bad_level_for_every_model(capsys, tmp_path):
+    for sigma in (None, ConstantSigma(2.0)):
+        model = _model_file(tmp_path, sigma)
+        rc, out, err = run(
+            capsys, "localize", "--model", model, "--rss", "-70", "--level", "7"
+        )
+        assert rc == 1
+        _one_error_line(out, err, "error: level must be in (0, 1), got 7.0")
+
+
+# Distance specs stay at or below 10**4 points: the CLI builds a tuple of
+# every point before anything checks the size, so a wide finite range such
+# as 1:1e12:1e-9 (10**21 points) would fill memory before it failed.
+_DISTANCE_SPECS = (
+    "1:5", "2:4:0.5", "1:1e4", "1:inf", "5:1", "nan:5", "0:3", "1:5:0",
+    "1,2.5,7", "1,-1", "1,1e308", "1,4.9e-324", "1,nan", "x", "",
+)
+_REALS = (
+    "0", "-0", "1", "0.95", "-73", "1e-308", "-1e-308", "1e308", "-1e308",
+    "-1e6", "4.9e-324", "nan", "inf", "-inf", "x", "",
+)
+_INTS = ("0", "-1", "2", str(10**15), str(2**64), "1e3", "x")
+_SOURCES = (
+    "longwall-face", "gateroad-conveyor", "mine-car-pathway", "{tmp}/stats.csv",
+    "{tmp}/nowhere.csv",
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    real = st.sampled_from(_REALS)
+    command = draw(
+        st.sampled_from(
+            ("fit", "sigma-fit", "predict", "localize", "plan", "simulate", "datasets")
+        )
+    )
+    model = "{tmp}/" + draw(st.sampled_from(("sigma", "trend", "cut", "missing")))
+    if command in ("fit", "sigma-fit"):
+        argv = [command, draw(st.sampled_from(_SOURCES)), "--d0", draw(real)]
+        argv += ["--intercept-mode", draw(st.sampled_from(("free", "anchored")))]
+        if draw(st.booleans()):
+            argv.append("--compare-paper")
+        if command == "sigma-fit":
+            argv += ["--target", draw(st.sampled_from(("sample_sd", "residual_y")))]
+    elif command == "predict":
+        argv = [command, "--model", model + ".json", "--d", draw(real)]
+    elif command == "localize":
+        argv = [command, "--model", model + ".json", "--rss", draw(real)]
+        argv += ["--level", draw(real)]
+    elif command == "plan":
+        argv = [command, "--model", model + ".json", "--sensitivity", draw(real)]
+        argv += ["--z", draw(real)]
+    elif command == "simulate":
+        argv = [command, "--model", model + ".json"]
+        argv += ["--distances", draw(st.sampled_from(_DISTANCE_SPECS))]
+        argv += ["--samples", draw(st.sampled_from(_INTS))]
+        argv += ["--seed", draw(st.sampled_from(_INTS))]
+    elif draw(st.booleans()):
+        names = ("longwall-face", "mine-car-pathway", "nowhere")
+        return ["datasets", "export", draw(st.sampled_from(names))]
+    else:
+        argv = ["datasets", "list"]
+    return argv + ["--format", draw(st.sampled_from(("text", "json", "csv")))]
+
+
+@pytest.fixture(scope="module")
+def boundary_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("boundary")
+    stats = embedded_dataset("longwall-face").stats
+    trend = fit_path_loss(stats).model
+    sigma = ShadowedPathLossModel(
+        d0=trend.d0, rss_d0=trend.rss_d0, eta=trend.eta,
+        sigma=SigmaPolynomial(
+            *published_fit("longwall-face").sigma_coefficients, d_min=1.0, d_max=20.0
+        ),
+    )
+    (root / "trend.json").write_bytes(model_to_json(trend))
+    (root / "sigma.json").write_bytes(model_to_json(sigma))
+    (root / "cut.json").write_bytes(model_to_json(sigma)[:40])
+    (root / "stats.csv").write_bytes(save_stats_csv(stats))
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_cli_argv())
+@example(argv=["simulate", "--model", "{tmp}/sigma.json", "--distances", "1:inf",
+               "--samples", "2", "--format", "text"])
+@example(argv=["simulate", "--model", "{tmp}/trend.json", "--distances", "1:5",
+               "--samples", str(10**15), "--format", "json"])
+@example(argv=["fit", "longwall-face", "--d0", "4.9e-324", "--format", "csv"])
+def test_every_cli_run_exits_0_1_or_2_with_one_error_line(boundary_files, argv):
+    argv = [a.replace("{tmp}", str(boundary_files)) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        assert err.getvalue() == ""
+    else:
+        _one_error_line(out.getvalue(), err.getvalue())
