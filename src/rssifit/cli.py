@@ -20,12 +20,13 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import re
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from .calibration import (
     INTERCEPT_MODES,
@@ -41,6 +42,7 @@ from .dataio import (
     load_stats_csv,
     model_from_json,
     model_to_json,
+    parse_number,
     save_stats_csv,
     save_survey_csv,
 )
@@ -54,7 +56,7 @@ from .models import (
     sigma_at,
 )
 from .numerics import polyval
-from .simulate import SimulationSpec, simulate_survey
+from .simulate import _MAX_SAMPLES, SimulationSpec, simulate_survey
 from .surveys import SurveyStats
 
 OUTPUT_FORMAT_VERSION = 1
@@ -71,11 +73,13 @@ _NEGATIVE_NUMBER = re.compile(
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argparse that reports usage problems through the exit-1 error path."""
+    """Argparse with the package's number rule and the exit-1 error path."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+        self.register("type", float, parse_number)
+        self.register("type", int, lambda text: parse_number(text, int))
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise DataError(f"{self.prog}: {message}")
@@ -351,7 +355,7 @@ def _parse_distances(text: str) -> tuple[float, ...]:
     """Parse '1:20', '0.5:20:0.5', or '1,2,5.5' into distances."""
     try:
         if ":" in text:
-            parts = [float(p) for p in text.split(":")]
+            parts = [parse_number(p) for p in text.split(":")]
             if len(parts) not in (2, 3):
                 raise ValueError("expected start:stop or start:stop:step")
             start, stop, step = parts if len(parts) == 3 else (*parts, 1.0)
@@ -359,9 +363,11 @@ def _parse_distances(text: str) -> tuple[float, ...]:
                 raise ValueError("step must be > 0")
             if stop < start:
                 raise ValueError("stop must be >= start")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
-            return tuple(start + i * step for i in range(count))
-        return tuple(float(p) for p in text.split(","))
+            count = int((stop - start) / step + 1e-9) + 1  # int() floors: it is > 0
+            if count > _MAX_SAMPLES:
+                raise ValueError(f"{count} points are more than an array holds")
+            return tuple((start + np.arange(count) * step).tolist())
+        return tuple(parse_number(p) for p in text.split(","))
     except (ValueError, OverflowError) as exc:
         raise DataError(f"bad --distances {text!r}: {exc}") from None
 

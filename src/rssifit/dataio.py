@@ -9,10 +9,10 @@ Survey CSV  header ``site,distance_m,rssi_dbm``, one sample per row. A file
             holds one site. Loading pools rows by distance in order of first
             appearance, so a survey whose distances are distinct round-trips
             exactly; one with repeated distance rows reloads in the pooled
-            form. A well-formed file is parsed in bulk by ``np.loadtxt``;
-            anything else goes through a row loop over ``csv.reader``, so
-            results, error messages and line numbers are those of the row
-            loop either way.
+            form. A well-formed file has its two number columns parsed in
+            bulk by ``np.loadtxt``; anything else goes through a row loop
+            over ``csv.reader``, so results, error messages and line numbers
+            are those of the row loop either way.
 
 Stats CSV   header ``distance_m,mean_dbm,sd_db,prr_pct,n``, one distance per
             row, mirroring the embedded survey tables. ``prr_pct`` may be
@@ -22,6 +22,10 @@ Stats CSV   header ``distance_m,mean_dbm,sd_db,prr_pct,n``, one distance per
 Model JSON  strict versioned document (``format_version`` 1). Unknown fields
             are rejected with their path rather than ignored: a misspelled
             field that silently defaulted would corrupt a calibration.
+
+Every number, in a CSV field or a CLI argument, is read by
+:func:`parse_number` as ``np.loadtxt`` reads it, so ``1_0`` and non-ASCII
+digits are not numbers.
 
 A CSV file that is not UTF-8 (named by byte offset), or that the csv module
 cannot parse, such as a bare CR inside a line or a field over the csv field
@@ -35,6 +39,7 @@ import csv
 import io
 import json
 import math
+import re
 from typing import Sequence
 
 import numpy as np
@@ -57,9 +62,19 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
+def parse_number(text: str, kind: type = float):
+    """Read ``text`` as a ``kind`` (float or int) by the package's one rule:
+    strip ``str.isspace`` blanks, refuse the rest if it holds ``_`` or is not
+    ASCII, else call ``kind``. Raises ValueError for anything refused."""
+    core = text.strip()
+    if "_" in core or not core.isascii():
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return kind(core)
+
+
 def _parse_float(text: str, line: int, column: str) -> float:
     try:
-        value = float(text)
+        value = parse_number(text)
     except ValueError:
         raise FormatError(
             f"line {line}, column {column!r}: not a number: {text!r}"
@@ -74,7 +89,7 @@ def _parse_float(text: str, line: int, column: str) -> float:
 
 def _parse_int(text: str, line: int, column: str) -> int:
     try:
-        return int(text)
+        return parse_number(text, int)
     except ValueError:
         raise FormatError(
             f"line {line}, column {column!r}: not an integer: {text!r}"
@@ -142,15 +157,27 @@ def save_survey_csv(survey: RssiSurvey) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-_SURVEY_DTYPE = np.dtype(
-    [("site", object), ("distance", np.float64), ("rssi", np.float64)]
-)
+def _pooled(site: str, distance, rssi) -> RssiSurvey:
+    """Pool samples by distance in order of first appearance, in file order."""
+    unique, first, inverse = np.unique(
+        distance, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    group = np.argsort(order)[inverse.ravel()]  # rank of first appearance
+    samples = np.asarray(rssi)[np.argsort(group, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(group)).tolist()
+    return RssiSurvey(
+        site=site,
+        rows=tuple(
+            (d, tuple(samples[lo:hi]))
+            for d, lo, hi in zip(unique[order].tolist(), [0, *ends], ends)
+        ),
+    )
 
 
 def _survey_rows(text: str) -> RssiSurvey:
     """The reference row loop: the one place that words survey errors."""
-    site = None
-    pooled: dict[float, list[float]] = {}
+    site, distances, readings = None, [], []
     for line, (row_site, d_text, rssi_text) in _records(text, SURVEY_HEADER):
         if site is None:
             site = row_site
@@ -165,87 +192,60 @@ def _survey_rows(text: str) -> RssiSurvey:
                 f"line {line}, column 'distance_m': must be > 0, "
                 f"got {d_text!r}"
             )
-        rssi = _parse_float(rssi_text, line, "rssi_dbm")
-        pooled.setdefault(distance, []).append(rssi)
+        distances.append(distance)
+        readings.append(_parse_float(rssi_text, line, "rssi_dbm"))
     if site is None:
         raise FormatError("line 2: no data rows")
-    return RssiSurvey(
-        site=site,
-        rows=tuple((d, tuple(samples)) for d, samples in pooled.items()),
-    )
+    return _pooled(site, distances, readings)
+
+
+# The header, then the first row's site field as written and its comma:
+# quoted, with "" for a quote inside, or bare; neither holds a line break.
+_SURVEY_START = re.compile(
+    re.escape(",".join(SURVEY_HEADER)) + r'\r?\n((?:"(?:[^"\r\n]|"")*"|[^",\r\n]*),)'
+)
 
 
 def _survey_bulk(data: bytes, text: str) -> RssiSurvey | None:
     """Parse a well-formed survey (``data`` decoded as ``text``) in bulk.
 
     Returns None whenever it cannot show that the file reads exactly as the
-    row loop reads it: another header spelling; the separators
-    U+001C..U+001F, which numpy strips from numbers and ``float`` does not;
-    anything ``loadtxt`` refuses; fewer records than lines, which means
-    blank lines (``loadtxt`` skips them) or a quoted line break (a field
-    could then outgrow the csv field limit with no line doing so); a line
-    longer than that limit; and any row the row loop would reject.
+    row loop reads it: another header spelling; a line that does not start
+    with the first row's site field, or whose commas are not that field's
+    plus two (``usecols`` would drop extra fields); a line longer than the
+    csv field limit; anything ``loadtxt`` or :class:`RssiSurvey` refuses.
+    A record running over a line break would hold a quote or a comma of the
+    next line's site field in a number, which neither parser reads.
     """
-    header = ",".join(SURVEY_HEADER)
-    for newline in ("\n", "\r\n"):
-        if text.startswith(header + newline):
-            start = len(header) + len(newline)  # in bytes too: it is ASCII
-            break
-    else:
+    first = _SURVEY_START.match(text)
+    if first is None:
         return None
-    line_feeds = text.count("\n", start)
-    # A body of line breaks alone would only make loadtxt warn of no data.
-    all_blank = line_feeds + text.count("\r", start) == len(text) - start
-    if all_blank or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+    start, prefix = first.start(1), first.group(1)  # in bytes too: ASCII header
+    lines = text.count("\n", start) + (not text.endswith("\n"))
+    if (
+        text.count("\n" + prefix, start) != lines - 1
+        or text.count(",", start) != lines * (prefix.count(",") + 1)
+        or _longest_line(data) > csv.field_size_limit()
+    ):
         return None
     body = io.BytesIO(data)
     body.seek(start)
     try:
         # Lines of bytes, decoded one at a time: an io.StringIO would first
         # copy the whole text at four bytes per character.
-        table = np.loadtxt(
-            body,
-            encoding="utf-8",
-            dtype=_SURVEY_DTYPE,
-            delimiter=",",
-            comments=None,
-            quotechar='"',
-            ndmin=1,
+        distance, rssi = np.loadtxt(
+            body, encoding="utf-8", delimiter=",", comments=None,
+            quotechar='"', usecols=(1, 2), unpack=True, ndmin=2,
         )
     except ValueError:
         return None
-    lines = line_feeds + (not text.endswith("\n"))
-    if table.size != lines or _longest_line(data) > csv.field_size_limit():
+    site = prefix[:-1]
+    if site.startswith('"'):
+        site = site[1:-1].replace('""', '"')
+    try:
+        return _pooled(site, distance, rssi)
+    except DataError:
         return None
-    site = table["site"][0]
-    if not np.all(table["site"] == site):
-        return None
-    # Copying the numbers out frees the per-row site strings.
-    distance, rssi = table["distance"].copy(), table["rssi"].copy()
-    del table
-    if not (
-        np.all(np.isfinite(distance))
-        and np.all(distance > 0)
-        and np.all(np.isfinite(rssi))
-    ):
-        return None
-    # Pool by distance in order of first appearance, samples in file order.
-    unique, first, inverse = np.unique(
-        distance, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    group = np.empty_like(order)
-    group[order] = np.arange(order.size)
-    group = group[inverse.ravel()]
-    samples = rssi[np.argsort(group, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(group)).tolist()
-    return RssiSurvey(
-        site=site,
-        rows=tuple(
-            (d, tuple(samples[lo:hi]))
-            for d, lo, hi in zip(unique[order].tolist(), [0, *ends], ends)
-        ),
-    )
 
 
 def _longest_line(data: bytes) -> int:
@@ -267,18 +267,12 @@ def load_survey_csv(data: bytes) -> RssiSurvey:
     return _survey_rows(text) if survey is None else survey
 
 
-def _stats_rows(stats: SurveyStats | Sequence[DistanceStats]):
-    if isinstance(stats, SurveyStats):
-        return stats.rows
-    return tuple(stats)
-
-
 def save_stats_csv(stats: SurveyStats | Sequence[DistanceStats]) -> bytes:
     """Serialize per-distance statistics, one distance per row."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(STATS_HEADER)
-    for row in _stats_rows(stats):
+    for row in stats.rows if isinstance(stats, SurveyStats) else stats:
         writer.writerow(
             (
                 _fmt(row.distance),

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 import warnings
 
 import pytest
@@ -460,6 +461,40 @@ def test_simulate_too_large_for_memory_is_one_error_line(capsys, tmp_path):
         _one_error_line(out, err)
 
 
+def test_simulate_rejects_a_range_of_more_points_than_an_array_holds(
+    capsys, tmp_path
+):
+    model = _model_file(tmp_path)
+    start = time.perf_counter()
+    rc, out, err = run(  # 10**21 points: refused before anything is built
+        capsys, "simulate", "--model", model, "--distances", "1:1e12:1e-9",
+        "--samples", "1",
+    )
+    assert time.perf_counter() - start < 5.0
+    assert rc == 1
+    _one_error_line(out, err, "error: bad --distances '1:1e12:1e-9': ")
+    assert err.endswith(" points are more than an array holds\n")
+
+
+def test_number_arguments_refuse_what_only_python_reads(capsys, tmp_path):
+    model = _model_file(tmp_path)
+    for argv, start in (
+        (("predict", "--d", "1_0"), "error: rssifit predict: argument --d: "),
+        (
+            ("simulate", "--distances", "1:20", "--samples", "1_0"),
+            "error: rssifit simulate: argument --samples: ",
+        ),
+        (("simulate", "--distances", "1_0:20", "--samples", "1"),
+         "error: bad --distances '1_0:20': "),
+    ):
+        rc, out, err = run(capsys, argv[0], "--model", model, *argv[1:])
+        assert rc == 1
+        _one_error_line(out, err, start)
+    rc, out, err = run(capsys, "predict", "--model", model, "--d", "\u0661")
+    assert rc == 1
+    _one_error_line(out, err, "error: rssifit predict: argument --d: invalid float")
+
+
 def test_fit_rejects_a_d0_whose_distance_ratio_overflows(capsys, longwall):
     for d0 in (1e-308, 4.9e-324):
         with warnings.catch_warnings():
@@ -482,11 +517,8 @@ def test_localize_rejects_a_bad_level_for_every_model(capsys, tmp_path):
         _one_error_line(out, err, "error: level must be in (0, 1), got 7.0")
 
 
-# Distance specs stay at or below 10**4 points: the CLI builds a tuple of
-# every point before anything checks the size, so a wide finite range such
-# as 1:1e12:1e-9 (10**21 points) would fill memory before it failed.
 _DISTANCE_SPECS = (
-    "1:5", "2:4:0.5", "1:1e4", "1:inf", "5:1", "nan:5", "0:3", "1:5:0",
+    "1:5", "2:4:0.5", "1:1e4", "1:1e12:1e-9", "1:inf", "5:1", "nan:5", "0:3", "1:5:0",
     "1,2.5,7", "1,-1", "1,1e308", "1,4.9e-324", "1,nan", "x", "",
 )
 _REALS = (

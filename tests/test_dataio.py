@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import math
+import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -329,12 +331,21 @@ def test_quoted_site_with_comma_round_trips():
 
 # -- bulk survey loading against the row loop it replaced ---------------------
 # The loader as it was before bulk parsing, kept verbatim (with its helpers)
-# as the reference for the differential property below.
+# as the reference for the differential property below, except that it reads
+# numbers by the package's rule instead of by bare float().
+
+
+def _ref_number(text: str) -> float:
+    """The package's number rule, restated: no ``_``, ASCII, then float."""
+    core = text.strip()
+    if "_" in core or not core.isascii():
+        raise ValueError(text)
+    return float(core)
 
 
 def _ref_parse_float(text: str, line: int, column: str) -> float:
     try:
-        value = float(text)
+        value = _ref_number(text)
     except ValueError:
         raise FormatError(
             f"line {line}, column {column!r}: not a number: {text!r}"
@@ -504,8 +515,14 @@ def test_well_formed_surveys_never_fall_back_to_the_row_loop(monkeypatch):
         raise AssertionError("well-formed survey fell back to the row loop")
 
     lines = [f"{(k % 20) + 1},{-40 - k % 53}" for k in range(10_000)]
+    pads = (" ", "\xa0", "\x1c")
+    padded = [
+        f"{pads[k % 3]}{(k % 20) + 1},{-40 - k % 53}{pads[k % 2]}"
+        for k in range(10_000)
+    ]
     files = [
         "site,distance_m,rssi_dbm\n" + "".join(f"A,{l}\n" for l in lines),
+        "site,distance_m,rssi_dbm\n" + "".join(f"A,{l}\n" for l in padded),
         "site,distance_m,rssi_dbm\r\n" + "".join(f"A,{l}\r\n" for l in lines),
         "site,distance_m,rssi_dbm\n"
         + "".join(f'"mine, ""2""",{l}\n' for l in lines[:-1])
@@ -517,6 +534,7 @@ def test_well_formed_surveys_never_fall_back_to_the_row_loop(monkeypatch):
         assert load_survey_csv(text.encode()) == survey
     first_row = tuple(float(-40 - k % 53) for k in range(0, 10_000, 20))
     assert expected[0].rows[0] == (1.0, first_row)
+    assert expected[1] == expected[0]
 
 
 def test_survey_fields_over_the_csv_limit_are_format_errors():
@@ -546,3 +564,59 @@ def test_undecodable_bytes_and_stray_carriage_returns_are_format_errors():
             load(header + row[:2] + b"\xff" + row[2:])
         with pytest.raises(FormatError, match=r"^line 3: malformed CSV record"):
             load(header + row + row.replace(b",", b"\r,", 1))
+
+
+# -- the one number rule ---------------------------------------------------
+# What numbers are made of, inf/nan and their letters, and what the rule
+# refuses by name (``_`` and a non-ASCII digit), with a few blanks inside.
+_NUMBER_PARTS = (
+    *"0123456789+-.eE_", *"infatyINFATY", "inf", "nan", "Infinity", "\u0661",
+    " ", "\t", "\xa0", "\x1c",
+)
+_BLANKS = tuple(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+
+def _loadtxt_number(text: str):
+    # A line break can only sit inside a quoted field.
+    field = f'"{text}"' if "\n" in text or "\r" in text else text
+    try:
+        table = np.loadtxt(
+            io.StringIO(f"A,1,{field}\n"), delimiter=",", comments=None,
+            quotechar='"', usecols=2, ndmin=1,
+        )
+    except ValueError:
+        return None
+    return repr(float(table[0]))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(
+    st.sampled_from(("",) + _BLANKS),
+    st.lists(st.sampled_from(_NUMBER_PARTS), max_size=6).map("".join),
+    st.sampled_from(("",) + _BLANKS),
+)
+def test_number_rule_reads_what_loadtxt_reads(before, core, after):
+    text = before + core + after
+    try:
+        ours = repr(dataio.parse_number(text))
+    except ValueError:
+        ours = None
+    assert ours == _loadtxt_number(text)
+
+
+def test_spellings_only_python_reads_are_rejected_by_name():
+    header = "site,distance_m,rssi_dbm\n"
+    for row, message in (
+        ("A,1_0,-50", "line 3, column 'distance_m': not a number: '1_0'"),
+        ("A,1,-5_0", "line 3, column 'rssi_dbm': not a number: '-5_0'"),
+        ("A,\u0661,-50", "line 3, column 'distance_m': not a number: '\u0661'"),
+    ):
+        with pytest.raises(FormatError) as caught:
+            load_survey_csv((header + "A,2,-60\n" + row + "\n").encode())
+        assert str(caught.value) == message
+    # U+001C..U+001F are str.isspace blanks, like NBSP: they pad a number.
+    padded = load_survey_csv((header + "A,1,-50\x1c\n").encode())
+    assert padded.rows == ((1.0, (-50.0,)),)
+    stats = b"distance_m,mean_dbm,sd_db,prr_pct,n\n1,-50,1.5,,2_0\n"
+    with pytest.raises(FormatError, match="column 'n': not an integer: '2_0'"):
+        load_stats_csv(stats)
