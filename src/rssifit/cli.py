@@ -389,7 +389,7 @@ def _cmd_simulate(args):
         rows=[{"distance_m": d, "samples_dbm": s} for d, s in survey.rows],
     )
     lines = [
-        f"simulated {survey.n_samples} samples at {len(survey.rows)} distances "
+        f"simulated {survey.n_samples} samples at {len(survey.distances)} distances "
         f"(site {survey.site!r}, seed {spec.seed})"
     ]
     if args.out:
@@ -556,7 +556,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RssifitError, OSError, MemoryError) as exc:
+    except MemoryError as exc:  # often raised with no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
+    except (RssifitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -164,15 +164,9 @@ def _pooled(site: str, distance, rssi) -> RssiSurvey:
     )
     order = np.argsort(first)
     group = np.argsort(order)[inverse.ravel()]  # rank of first appearance
-    samples = np.asarray(rssi)[np.argsort(group, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(group)).tolist()
-    return RssiSurvey(
-        site=site,
-        rows=tuple(
-            (d, tuple(samples[lo:hi]))
-            for d, lo, hi in zip(unique[order].tolist(), [0, *ends], ends)
-        ),
-    )
+    samples = np.asarray(rssi)[np.argsort(group, kind="stable")]
+    rows = np.split(samples, np.cumsum(np.bincount(group))[:-1])
+    return RssiSurvey(site=site, rows=zip(unique[order], rows))
 
 
 def _survey_rows(text: str) -> RssiSurvey:
@@ -180,7 +174,7 @@ def _survey_rows(text: str) -> RssiSurvey:
     site, distances, readings = None, [], []
     for line, (row_site, d_text, rssi_text) in _records(text, SURVEY_HEADER):
         if site is None:
-            site = row_site
+            site, first = row_site, line
         elif row_site != site:
             raise FormatError(
                 f"line {line}: site {row_site!r} differs from {site!r}; "
@@ -196,6 +190,8 @@ def _survey_rows(text: str) -> RssiSurvey:
         readings.append(_parse_float(rssi_text, line, "rssi_dbm"))
     if site is None:
         raise FormatError("line 2: no data rows")
+    if not site:
+        raise FormatError(f"line {first}, column 'site': must not be empty")
     return _pooled(site, distances, readings)
 
 

@@ -139,11 +139,5 @@ def simulate_survey(spec: SimulationSpec) -> RssiSurvey:
     noisy = np.flatnonzero(sigmas)
     if noisy.size:
         samples[noisy] += sigmas[noisy, None] * _normals(spec.seed, noisy, n)
-    return RssiSurvey(
-        site=spec.site,
-        rows=tuple(zip(map(float, spec.distances), map(tuple, samples.tolist()))),
-        metadata=(
-            ("generator", "splitmix64-boxmuller-v1"),
-            ("seed", str(spec.seed)),
-        ),
-    )
+    metadata = (("generator", "splitmix64-boxmuller-v1"), ("seed", str(spec.seed)))
+    return RssiSurvey(spec.site, zip(spec.distances, samples), metadata)

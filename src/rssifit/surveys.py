@@ -1,17 +1,18 @@
 """Survey containers: raw RSSI readings and their per-distance statistics.
 
 A survey is a set of repeated RSSI readings taken at known transmitter to
-receiver separations along a single path. Calibration never consumes the raw
-readings directly; it works from per-distance summary rows (mean, sample
-standard deviation, count, and optionally the packet reception ratio), which
-is also the shape the embedded reference tables arrive in.
+receiver separations along a single path; it keeps them in flat numpy arrays
+and builds a tuple view of its rows only when asked. Calibration works from
+per-distance summary rows (mean, n-1 standard deviation, count, optionally the
+packet reception ratio), the shape the embedded reference tables arrive in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import InitVar, dataclass, field
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,38 +26,71 @@ def _check_distance(d: float) -> float:
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RssiSurvey:
-    """Raw survey: per-distance tuples of RSSI samples in dBm.
+    """Raw survey: RSSI samples in dBm, in rows that each hold one distance (m).
 
-    ``rows`` maps each measurement distance (m) to its sample tuple. Rows are
-    kept in the order given; distances may repeat (they are merged by
-    :func:`survey_stats`). ``metadata`` is free-form provenance.
+    Built from ``rows``, (distance, samples) pairs with any flat sequence of
+    numbers as samples, and stored as read-only arrays: ``distances`` and
+    ``counts`` per row, and ``samples`` row after row. Rows keep their order;
+    distances may repeat (:func:`survey_stats` merges them). ``survey.rows``
+    builds tuples of Python floats on access; ``==`` and ``hash`` follow
+    (site, rows, metadata). ``metadata`` is free-form provenance.
     """
 
     site: str
-    rows: tuple[tuple[float, tuple[float, ...]], ...]
+    rows: InitVar[Iterable[tuple[float, Sequence[float]]]] = ()
     metadata: tuple[tuple[str, str], ...] = ()
+    distances: np.ndarray = field(init=False)
+    counts: np.ndarray = field(init=False)
+    samples: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, rows) -> None:
         if not self.site:
             raise DataError("site must be a non-empty string")
-        if not self.rows:
-            raise DataError("survey must contain at least one row")
-        checked = []
-        for distance, samples in self.rows:
+        distances, chunks = [], []
+        for distance, samples in rows:
             distance = _check_distance(distance)
-            samples = tuple(map(float, samples))
-            if not samples:
+            try:
+                values = np.asarray(samples, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                values = None
+            if values is None or values.ndim != 1:
+                raise DataError(f"not a flat list of samples at distance {distance} m")
+            if not values.size:
                 raise DataError(f"no samples at distance {distance} m")
-            if not all(map(math.isfinite, samples)):
+            if not np.isfinite(values).all():
                 raise DataError(f"non-finite RSSI sample at distance {distance} m")
-            checked.append((distance, samples))
-        object.__setattr__(self, "rows", tuple(checked))
+            distances.append(distance)
+            chunks.append(values)
+        if not chunks:
+            raise DataError("survey must contain at least one row")
+        counts = np.fromiter(map(len, chunks), np.intp, len(chunks))
+        arrays = np.array(distances), counts, np.concatenate(chunks)
+        for name, array in zip(("distances", "counts", "samples"), arrays):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and _key(self) == _key(other)
+
+    def __hash__(self) -> int:
+        return hash(_key(self))
 
     @property
     def n_samples(self) -> int:
-        return sum(len(samples) for _, samples in self.rows)
+        return self.samples.size
+
+
+def _rows(survey: RssiSurvey) -> tuple[tuple[float, tuple[float, ...]], ...]:
+    ends = np.cumsum(survey.counts)[:-1]
+    rows = map(np.ndarray.tolist, np.split(survey.samples, ends))
+    return tuple(zip(survey.distances.tolist(), map(tuple, rows)))
+
+
+# Set after the class body, where ``rows`` names the init argument.
+RssiSurvey.rows = property(_rows, doc="The rows as tuples, built on access.")
+_key = attrgetter("site", "rows", "metadata")
 
 
 @dataclass(frozen=True)
@@ -135,16 +169,8 @@ def survey_stats(survey: RssiSurvey) -> SurveyStats:
     adds in input order), and squared deviations are exact IEEE products, so
     the result does not depend on the interpreter's ``sum`` or libm's ``pow``.
     """
-    lengths = [len(samples) for _, samples in survey.rows]
-    flat = np.fromiter(
-        chain.from_iterable(samples for _, samples in survey.rows),
-        dtype=np.float64,
-        count=sum(lengths),
-    )
-    distances, group = np.unique(
-        [distance for distance, _ in survey.rows], return_inverse=True
-    )
-    group = np.repeat(group, lengths)
+    distances, group = np.unique(survey.distances, return_inverse=True)
+    group = np.repeat(group, survey.counts)
     n = np.bincount(group, minlength=distances.size)
     short = np.flatnonzero(n < 2)
     if short.size:
@@ -153,8 +179,8 @@ def survey_stats(survey: RssiSurvey) -> SurveyStats:
             f"need at least 2 samples at distance {float(distances[i])} m to "
             f"estimate a standard deviation, got {n[i]}"
         )
-    means = np.bincount(group, weights=flat, minlength=distances.size) / n
-    dev = flat - means[group]
+    means = np.bincount(group, weights=survey.samples, minlength=distances.size) / n
+    dev = survey.samples - means[group]
     var = np.bincount(group, weights=dev * dev, minlength=distances.size) / (n - 1)
     out = tuple(
         DistanceStats(distance=d, mean_rss=m, sd=math.sqrt(v), n=k)

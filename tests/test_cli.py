@@ -20,6 +20,7 @@ from rssifit import (
     save_stats_csv,
     simulate_survey,
 )
+from rssifit import cli
 from rssifit.cli import main
 from rssifit.errors import DataError
 from rssifit.models import ConstantSigma, ShadowedPathLossModel, SigmaPolynomial
@@ -439,6 +440,20 @@ def _one_error_line(out, err, start="error: "):
     assert len(lines) == 1 and lines[0].startswith(start), err
 
 
+@pytest.mark.parametrize(
+    "exc, line",
+    [(MemoryError(), "error: out of memory"), (MemoryError("big"), "error: big")],
+)
+def test_memory_errors_cross_as_one_worded_error_line(capsys, monkeypatch, exc, line):
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_datasets", exhausted)
+    rc, out, err = run(capsys, "datasets", "list")
+    assert rc == 1
+    assert out == "" and err == line + "\n"
+
+
 def test_simulate_rejects_an_infinite_distance_range(capsys, tmp_path):
     model = _model_file(tmp_path)
     rc, out, err = run(
@@ -607,3 +622,4 @@ def test_every_cli_run_exits_0_1_or_2_with_one_error_line(boundary_files, argv):
         assert err.getvalue() == ""
     else:
         _one_error_line(out.getvalue(), err.getvalue())
+        assert err.getvalue().removeprefix("error: ").strip(), err.getvalue()

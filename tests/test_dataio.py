@@ -163,6 +163,15 @@ def test_survey_load_pools_repeated_distances():
     assert survey.rows == ((1.0, (-50.0, -52.0)), (2.0, (-60.0,)))
 
 
+@pytest.mark.parametrize("site", ["", '""'])
+def test_empty_site_field_is_a_format_error_naming_the_line(site):
+    data = f"site,distance_m,rssi_dbm\n{site},1,-50\n{site},2,-60\n".encode()
+    with pytest.raises(
+        FormatError, match=r"^line 2, column 'site': must not be empty$"
+    ):
+        load_survey_csv(data)
+
+
 def test_survey_load_rejects_mixed_sites():
     data = b"site,distance_m,rssi_dbm\nA,1,-50\nB,1,-52\n"
     with pytest.raises(FormatError, match="line 3"):
@@ -506,6 +515,11 @@ def test_load_survey_csv_matches_row_loop(data):
     if expected[0] in (csv.Error, UnicodeDecodeError):
         # These escaped the old loader; they now cross as FormatError.
         assert got[0] is FormatError
+    elif expected == (DataError, "site must be a non-empty string"):
+        # The old loader let RssiSurvey word this; it now names the line.
+        assert got[0] is FormatError and got[1].endswith(
+            "column 'site': must not be empty"
+        )
     else:
         assert got == expected
 

@@ -1,20 +1,31 @@
 """Raw survey containers and per-distance summarization."""
 
+import dataclasses
 import math
 import statistics
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rssifit import (
+    ConstantSigma,
     DataError,
     DistanceStats,
     InsufficientDataError,
     RssiSurvey,
+    ShadowedPathLossModel,
+    SimulationSpec,
     SurveyStats,
+    dataio,
+    load_survey_csv,
+    save_survey_csv,
+    simulate_survey,
     survey_stats,
 )
+from rssifit.surveys import _check_distance
 
 
 def test_stats_use_sample_standard_deviation():
@@ -155,3 +166,141 @@ def test_survey_stats_matches_per_row_reference(rows):
     assert stats_outcome(survey_stats, survey) == stats_outcome(
         per_row_survey_stats, survey
     )
+
+
+@dataclass(frozen=True)
+class ParentRssiSurvey:
+    """The tuple-backed survey the array-backed one replaced, kept verbatim
+    (but for its name) as the reference for rows, equality and errors."""
+
+    site: str
+    rows: tuple[tuple[float, tuple[float, ...]], ...]
+    metadata: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.site:
+            raise DataError("site must be a non-empty string")
+        if not self.rows:
+            raise DataError("survey must contain at least one row")
+        checked = []
+        for distance, samples in self.rows:
+            distance = _check_distance(distance)
+            samples = tuple(map(float, samples))
+            if not samples:
+                raise DataError(f"no samples at distance {distance} m")
+            if not all(map(math.isfinite, samples)):
+                raise DataError(f"non-finite RSSI sample at distance {distance} m")
+            checked.append((distance, samples))
+        object.__setattr__(self, "rows", tuple(checked))
+
+    @property
+    def n_samples(self) -> int:
+        return sum(len(samples) for _, samples in self.rows)
+
+
+def _built(cls, site, rows):
+    try:
+        return cls(site=site, rows=rows)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc), str(exc)
+
+
+@st.composite
+def raw_rows(draw):
+    """1-30 rows over a few distances (ints and repeats included), with
+    samples as tuples, lists or numpy arrays of ints and floats (±0.0 too),
+    and sometimes one bad row at any position."""
+    value = st.one_of(
+        st.integers(-200, 200), st.floats(-1e3, 1e3), st.sampled_from((0.0, -0.0))
+    )
+    row = st.tuples(
+        st.sampled_from((0.5, 1, 1.0, 2, 3.5, 20.0, 1e-300)),
+        st.tuples(
+            st.sampled_from((tuple, list, np.array)),
+            st.lists(value, min_size=1, max_size=6),
+        ).map(lambda kind_values: kind_values[0](kind_values[1])),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=30))
+    bad = draw(st.one_of(st.none(), st.tuples(
+        st.sampled_from((0.5, 2.0)),
+        st.sampled_from(((), (float("nan"),), (-50.0, float("inf")), [float("-inf")])),
+    ), st.tuples(
+        st.sampled_from((0.0, -0.0, -1.0, float("nan"), float("inf"))),
+        st.just((-50.0,)),
+    )))
+    if bad is not None:
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    return tuple(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(site=st.sampled_from(("lab", "")), rows=raw_rows())
+@example(site="lab", rows=((1, (-0.0, 0)), (1.0, np.array([0.0, -0.0]))))
+@example(site="lab", rows=((2.0, [-50]), (0.0, ()), (1.0, ())))
+def test_survey_matches_the_tuple_backed_class(site, rows):
+    new = _built(RssiSurvey, site, rows)
+    old = _built(ParentRssiSurvey, site, rows)
+    if isinstance(old, tuple):
+        assert new == old
+        return
+    assert repr(new.rows) == repr(old.rows)
+    assert new.n_samples == old.n_samples
+    assert hash(new) == hash(old)
+    assert new == RssiSurvey(site=site, rows=old.rows)
+    assert hash(new) == hash(RssiSurvey(site=site, rows=old.rows))
+    changed = dataclasses.replace(new, rows=new.rows[:-1] + ((2.0, (-1.0,)),))
+    assert (changed == new) == (changed.rows == old.rows)
+    assert dataclasses.replace(new, site="other") != new
+    assert dataclasses.replace(new, site="other").rows == new.rows
+
+
+@pytest.mark.parametrize(
+    "samples",
+    ["12", -50.0, ((-50.0, -51.0),), [[-50.0], [-51.0, -52.0]], np.zeros((1, 2)),
+     ("x",), [-50.0, 1 + 2j], {-50.0}, [10**400]],
+)
+def test_malformed_sample_rows_are_refused_naming_the_distance(samples):
+    with pytest.raises(
+        DataError, match=r"^not a flat list of samples at distance 2\.5 m$"
+    ):
+        RssiSurvey(site="lab", rows=((1.0, (-50.0,)), (2.5, samples)))
+
+
+def test_survey_arrays_are_read_only_copies():
+    source = np.array([-50.0, -51.0, -52.0])
+    survey = RssiSurvey(site="lab", rows=((1.0, source[:2]), (4, source[2:])))
+    source[:] = 0.0
+    assert survey.distances.dtype == survey.samples.dtype == np.float64
+    assert survey.counts.dtype == np.intp
+    assert survey.distances.tolist() == [1.0, 4.0]
+    assert survey.counts.tolist() == [2, 1]
+    assert survey.samples.tolist() == [-50.0, -51.0, -52.0]
+    for array in (survey.distances, survey.counts, survey.samples):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        survey.samples = np.zeros(3)
+
+
+def test_hot_paths_never_build_the_rows_view(monkeypatch):
+    model = ShadowedPathLossModel(
+        d0=1.0, rss_d0=-40.0, eta=2.0, sigma=ConstantSigma(3.0)
+    )
+    spec = SimulationSpec(
+        model=model, distances=(1.0, 2.0, 5.0, 2.0), samples_per_distance=50, seed=3
+    )
+    data = save_survey_csv(simulate_survey(spec))
+    expected = survey_stats(load_survey_csv(data))
+
+    def boxed(self):
+        raise AssertionError("a hot path built the rows view")
+
+    def row_loop(text):
+        raise AssertionError("a well-formed survey fell back to the row loop")
+
+    monkeypatch.setattr(RssiSurvey, "rows", property(boxed))
+    monkeypatch.setattr(dataio, "_survey_rows", row_loop)
+    survey = simulate_survey(spec)
+    assert survey.n_samples == 200
+    survey_stats(survey)
+    assert survey_stats(load_survey_csv(data)) == expected
