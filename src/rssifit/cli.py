@@ -17,8 +17,6 @@ NO_COLOR (or redirect) to suppress. json/csv output is never styled.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import re
@@ -39,6 +37,7 @@ from .calibration import (
 )
 from .datasets import PUBLISHED_FITS, PublishedFit, dataset_names, embedded_dataset
 from .dataio import (
+    csv_text,
     load_stats_csv,
     model_from_json,
     model_to_json,
@@ -97,14 +96,6 @@ def _payload(command: str, **fields) -> dict:
     return {"format_version": OUTPUT_FORMAT_VERSION, "command": command, **fields}
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _table(header: tuple[str, ...], records) -> tuple:
     """A CSV table whose columns are the named fields of payload records.
 
@@ -122,7 +113,7 @@ def _emit(fmt: str, payload: dict, table, lines) -> None:
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     elif fmt == "csv" and table is not None:
-        text = table.decode() if isinstance(table, bytes) else _csv_text(*table)
+        text = table.decode() if isinstance(table, bytes) else csv_text(*table)
     else:
         text = "".join(f"{line}\n" for line in lines)
     sys.stdout.write(text)
@@ -163,7 +154,7 @@ def _save(args, model, records: list[dict], fitted: str, observed: str) -> None:
         Path(args.save_model).write_bytes(model_to_json(model))
     if args.emit_curve:
         _, rows = _table(("distance_m", fitted, observed), records)
-        curve = _csv_text(("distance_m", "fitted", "observed"), rows)
+        curve = csv_text(("distance_m", "fitted", "observed"), rows)
         Path(args.emit_curve).write_bytes(curve.encode("utf-8"))
 
 
@@ -351,7 +342,7 @@ def _cmd_plan(args):
     return payload, _table(header, [payload]), lines
 
 
-def _parse_distances(text: str) -> tuple[float, ...]:
+def _parse_distances(text: str, samples: int) -> tuple[float, ...]:
     """Parse '1:20', '0.5:20:0.5', or '1,2,5.5' into distances."""
     try:
         if ":" in text:
@@ -364,8 +355,9 @@ def _parse_distances(text: str) -> tuple[float, ...]:
             if stop < start:
                 raise ValueError("stop must be >= start")
             count = int((stop - start) / step + 1e-9) + 1  # int() floors: it is > 0
-            if count > _MAX_SAMPLES:
-                raise ValueError(f"{count} points are more than an array holds")
+            if count > _MAX_SAMPLES // max(samples, 1):  # before building a point
+                raise ValueError(f"{samples} samples at each of {count} points are "
+                                 "more than an array holds")
             return tuple((start + np.arange(count) * step).tolist())
         return tuple(parse_number(p) for p in text.split(","))
     except (ValueError, OverflowError) as exc:
@@ -374,7 +366,8 @@ def _parse_distances(text: str) -> tuple[float, ...]:
 
 def _cmd_simulate(args):
     spec = SimulationSpec(
-        model=_load_model(args.model), distances=_parse_distances(args.distances),
+        model=_load_model(args.model),
+        distances=_parse_distances(args.distances, args.samples),
         samples_per_distance=args.samples, seed=args.seed, site=args.site,
     )
     survey = simulate_survey(spec)

@@ -3,7 +3,8 @@
 All formats are UTF-8 with LF newlines. Numeric fields are rendered with
 Python's shortest-round-trip float representation (integers without a
 decimal point), so saving and reloading reproduces values bit for bit and
-repeated exports are byte-stable.
+repeated exports are byte-stable. :func:`csv_text` is the one CSV writer,
+for these codecs and for the CLI's tables.
 
 Survey CSV  header ``site,distance_m,rssi_dbm``, one sample per row. A file
             holds one site. Loading pools rows by distance in order of first
@@ -12,7 +13,8 @@ Survey CSV  header ``site,distance_m,rssi_dbm``, one sample per row. A file
             form. A well-formed file has its two number columns parsed in
             bulk by ``np.loadtxt``; anything else goes through a row loop
             over ``csv.reader``, so results, error messages and line numbers
-            are those of the row loop either way.
+            are those of the row loop either way. Saving reads the survey's
+            arrays: the site is quoted once and each distance formatted once.
 
 Stats CSV   header ``distance_m,mean_dbm,sd_db,prr_pct,n``, one distance per
             row, mirroring the embedded survey tables. ``prr_pct`` may be
@@ -21,7 +23,9 @@ Stats CSV   header ``distance_m,mean_dbm,sd_db,prr_pct,n``, one distance per
 
 Model JSON  strict versioned document (``format_version`` 1). Unknown fields
             are rejected with their path rather than ignored: a misspelled
-            field that silently defaulted would corrupt a calibration.
+            field that silently defaulted would corrupt a calibration. One
+            table of keys per dataclass (the model, each sigma kind) drives
+            the writer, the unknown-field checks and the reader.
 
 Every number, in a CSV field or a CLI argument, is read by
 :func:`parse_number` as ``np.loadtxt`` reads it, so ``1_0`` and non-ASCII
@@ -40,7 +44,8 @@ import io
 import json
 import math
 import re
-from typing import Sequence
+from dataclasses import fields
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -144,17 +149,26 @@ def _records(text: str, header: tuple[str, ...]):
         ) from None
 
 
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """The package's one CSV writer: ``header``, then ``rows``, LF-terminated."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def save_survey_csv(survey: RssiSurvey) -> bytes:
     """Serialize a raw survey, one sample per row."""
     if "\n" in survey.site or "\r" in survey.site:
         raise DataError("site must not contain line breaks")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SURVEY_HEADER)
-    for distance, samples in survey.rows:
-        for sample in samples:
-            writer.writerow((survey.site, _fmt(distance), _fmt(sample)))
-    return buf.getvalue().encode("utf-8")
+    site = csv_text((survey.site,), ())[:-1]  # quoted as the csv module quotes it
+    parts = [csv_text(SURVEY_HEADER, ())]
+    rows = np.split(survey.samples, np.cumsum(survey.counts)[:-1])
+    for distance, samples in zip(survey.distances.tolist(), rows):
+        start = f"{site},{_fmt(distance)},"
+        parts += start, f"\n{start}".join(map(_fmt, samples.tolist())), "\n"
+    return "".join(parts).encode("utf-8")
 
 
 def _pooled(site: str, distance, rssi) -> RssiSurvey:
@@ -265,20 +279,12 @@ def load_survey_csv(data: bytes) -> RssiSurvey:
 
 def save_stats_csv(stats: SurveyStats | Sequence[DistanceStats]) -> bytes:
     """Serialize per-distance statistics, one distance per row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(STATS_HEADER)
-    for row in stats.rows if isinstance(stats, SurveyStats) else stats:
-        writer.writerow(
-            (
-                _fmt(row.distance),
-                _fmt(row.mean_rss),
-                _fmt(row.sd),
-                "" if row.prr is None else _fmt(row.prr),
-                str(row.n),
-            )
-        )
-    return buf.getvalue().encode("utf-8")
+    rows = stats.rows if isinstance(stats, SurveyStats) else stats
+    return csv_text(STATS_HEADER, (
+        (_fmt(r.distance), _fmt(r.mean_rss), _fmt(r.sd),
+         "" if r.prr is None else _fmt(r.prr), str(r.n))
+        for r in rows
+    )).encode("utf-8")
 
 
 def load_stats_csv(data: bytes, site: str = "stats") -> SurveyStats:
@@ -309,48 +315,47 @@ def load_stats_csv(data: bytes, site: str = "stats") -> SurveyStats:
     return SurveyStats(site=site, rows=tuple(rows))
 
 
-def _reject_unknown(obj: dict, allowed: tuple[str, ...], path: str) -> None:
+# The model document's keys, in the order of the dataclass fields they hold:
+# the model's d0, rss_d0 and eta (its sigma sits under "sigma"), and each
+# sigma kind's fields. No other line spells them.
+_MODEL_KEYS = ("d0_m", "rss_d0_dbm", "eta")
+_SIGMA_KEYS = {
+    ConstantSigma: ("constant_db",),
+    SigmaPolynomial: ("a", "b", "c", "e", "f", "d_min_m", "d_max_m"),
+}
+
+
+def _document(obj, keys: tuple[str, ...]) -> dict:
+    return {key: getattr(obj, f.name) for key, f in zip(keys, fields(obj))}
+
+
+def _reject_unknown(obj: dict, allowed: tuple[str, ...], prefix: str) -> None:
     for key in obj:
         if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise FormatError(f"unknown field {where!r}")
+            raise FormatError(f"unknown field {prefix + key!r}")
 
 
-def _take_number(obj: dict, key: str, path: str) -> float:
-    where = f"{path}.{key}" if path else key
-    if key not in obj:
-        raise FormatError(f"missing field {where!r}")
-    value = obj[key]
-    # bool is an int subclass; a JSON true is not a number here.
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"field {where!r} must be a number, got {value!r}")
-    return float(value)
+def _take_numbers(obj: dict, keys: tuple[str, ...], prefix: str) -> list[float]:
+    numbers = []
+    for key in keys:
+        if key not in obj:
+            raise FormatError(f"missing field {prefix + key!r}")
+        value = obj[key]
+        # bool is an int subclass; a JSON true is not a number here.
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise FormatError(f"field {prefix + key!r} must be a number, got {value!r}")
+        numbers.append(float(value))
+    return numbers
 
 
 def model_to_json(model: ShadowedPathLossModel) -> bytes:
     """Serialize a model to the versioned JSON document."""
-    sigma: object
-    if model.sigma is None:
-        sigma = None
-    elif isinstance(model.sigma, ConstantSigma):
-        sigma = {"constant_db": model.sigma.value}
-    else:
-        sigma = {
-            "a": model.sigma.a,
-            "b": model.sigma.b,
-            "c": model.sigma.c,
-            "e": model.sigma.e,
-            "f": model.sigma.f,
-            "d_min_m": model.sigma.d_min,
-            "d_max_m": model.sigma.d_max,
-        }
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "d0_m": model.d0,
-        "rss_d0_dbm": model.rss_d0,
-        "eta": model.eta,
-        "sigma": sigma,
-    }
+    sigma = model.sigma
+    if sigma is not None:
+        kind = ConstantSigma if isinstance(sigma, ConstantSigma) else SigmaPolynomial
+        sigma = _document(sigma, _SIGMA_KEYS[kind])
+    doc = {"format_version": MODEL_FORMAT_VERSION, **_document(model, _MODEL_KEYS),
+           "sigma": sigma}
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
@@ -362,9 +367,7 @@ def model_from_json(data: bytes) -> ShadowedPathLossModel:
         raise FormatError(f"not a valid JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise FormatError("document root must be a JSON object")
-    _reject_unknown(
-        doc, ("format_version", "d0_m", "rss_d0_dbm", "eta", "sigma"), ""
-    )
+    _reject_unknown(doc, ("format_version", *_MODEL_KEYS, "sigma"), "")
     if "format_version" not in doc:
         raise FormatError("missing field 'format_version'")
     version = doc["format_version"]
@@ -375,37 +378,15 @@ def model_from_json(data: bytes) -> ShadowedPathLossModel:
         )
     if "sigma" not in doc:
         raise FormatError("missing field 'sigma' (may be null)")
-    raw_sigma = doc["sigma"]
-    sigma: ConstantSigma | SigmaPolynomial | None
-    if raw_sigma is None:
-        sigma = None
-    elif isinstance(raw_sigma, dict):
-        if "constant_db" in raw_sigma:
-            _reject_unknown(raw_sigma, ("constant_db",), "sigma")
-            sigma = ConstantSigma(_take_number(raw_sigma, "constant_db", "sigma"))
-        else:
-            _reject_unknown(
-                raw_sigma,
-                ("a", "b", "c", "e", "f", "d_min_m", "d_max_m"),
-                "sigma",
-            )
-            sigma = SigmaPolynomial(
-                a=_take_number(raw_sigma, "a", "sigma"),
-                b=_take_number(raw_sigma, "b", "sigma"),
-                c=_take_number(raw_sigma, "c", "sigma"),
-                e=_take_number(raw_sigma, "e", "sigma"),
-                f=_take_number(raw_sigma, "f", "sigma"),
-                d_min=_take_number(raw_sigma, "d_min_m", "sigma"),
-                d_max=_take_number(raw_sigma, "d_max_m", "sigma"),
-            )
-    else:
+    sigma = doc["sigma"]
+    if isinstance(sigma, dict):
+        (constant,) = _SIGMA_KEYS[ConstantSigma]
+        kind = ConstantSigma if constant in sigma else SigmaPolynomial
+        _reject_unknown(sigma, _SIGMA_KEYS[kind], "sigma.")
+        sigma = kind(*_take_numbers(sigma, _SIGMA_KEYS[kind], "sigma."))
+    elif sigma is not None:
         raise FormatError(
             "field 'sigma' must be an object or null, "
-            f"got {type(raw_sigma).__name__}"
+            f"got {type(sigma).__name__}"
         )
-    return ShadowedPathLossModel(
-        d0=_take_number(doc, "d0_m", ""),
-        rss_d0=_take_number(doc, "rss_d0_dbm", ""),
-        eta=_take_number(doc, "eta", ""),
-        sigma=sigma,
-    )
+    return ShadowedPathLossModel(*_take_numbers(doc, _MODEL_KEYS, ""), sigma=sigma)

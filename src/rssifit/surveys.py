@@ -20,7 +20,14 @@ from .errors import DataError, InsufficientDataError
 
 
 def _check_distance(d: float) -> float:
-    d = float(d)
+    try:
+        if isinstance(d, (str, bytes, bytearray)):
+            raise TypeError  # float() would read the text as a number
+        d = float(d)
+    except (TypeError, ValueError):
+        raise DataError(f"distance must be a number, got {d!r}") from None
+    except OverflowError:  # an int beyond the float range
+        d = math.inf if d > 0 else -math.inf
     if not math.isfinite(d) or d <= 0:
         raise DataError(f"distance must be finite and > 0, got {d!r}")
     return d
@@ -49,7 +56,11 @@ class RssiSurvey:
         if not self.site:
             raise DataError("site must be a non-empty string")
         distances, chunks = [], []
-        for distance, samples in rows:
+        for i, row in enumerate(rows):
+            try:
+                distance, samples = row
+            except (TypeError, ValueError):
+                raise DataError(f"row {i} is not a (distance, samples) pair") from None
             distance = _check_distance(distance)
             try:
                 values = np.asarray(samples, dtype=np.float64)
@@ -115,11 +126,8 @@ class DistanceStats:
             raise DataError(f"sd must be finite and >= 0, got {self.sd!r}")
         if self.n < 1:
             raise DataError(f"n must be >= 1, got {self.n!r}")
-        if self.prr is not None:
-            if not math.isfinite(self.prr) or not 0.0 <= self.prr <= 100.0:
-                raise DataError(
-                    f"prr must be in [0, 100] percent, got {self.prr!r}"
-                )
+        if self.prr is not None and not 0.0 <= self.prr <= 100.0:  # nan too
+            raise DataError(f"prr must be in [0, 100] percent, got {self.prr!r}")
 
 
 @dataclass(frozen=True)

@@ -491,6 +491,24 @@ def test_simulate_rejects_a_range_of_more_points_than_an_array_holds(
     assert err.endswith(" points are more than an array holds\n")
 
 
+def test_simulate_bounds_a_range_by_points_times_samples_before_building_it(
+    capsys, tmp_path
+):
+    model = _model_file(tmp_path)
+    start = time.perf_counter()
+    rc, out, err = run(  # 10**12 points: fewer than an array holds, but not x 2e6
+        capsys, "simulate", "--model", model, "--distances", "1:1e12",
+        "--samples", "2000000",
+    )
+    assert time.perf_counter() - start < 5.0
+    assert rc == 1
+    _one_error_line(
+        out, err,
+        "error: bad --distances '1:1e12': 2000000 samples at each of "
+        "1000000000000 points are more than an array holds",
+    )
+
+
 def test_number_arguments_refuse_what_only_python_reads(capsys, tmp_path):
     model = _model_file(tmp_path)
     for argv, start in (

@@ -634,3 +634,280 @@ def test_spellings_only_python_reads_are_rejected_by_name():
     stats = b"distance_m,mean_dbm,sd_db,prr_pct,n\n1,-50,1.5,,2_0\n"
     with pytest.raises(FormatError, match="column 'n': not an integer: '2_0'"):
         load_stats_csv(stats)
+
+
+# -- the survey writer against the per-sample writer it replaced --------------
+# The writer (and its number format) as it was before it read the survey's
+# arrays, kept verbatim but for the names as the reference.
+
+
+def _parent_fmt(value: float) -> str:
+    """Shortest decimal that reloads to the same float; ints undotted."""
+    if value == int(value):
+        if value == 0 and math.copysign(1.0, value) < 0:
+            return "-0"  # int() would drop the sign of negative zero
+        return str(int(value))
+    return repr(value)
+
+
+def parent_save_survey_csv(survey: RssiSurvey) -> bytes:
+    """Serialize a raw survey, one sample per row."""
+    if "\n" in survey.site or "\r" in survey.site:
+        raise DataError("site must not contain line breaks")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(dataio.SURVEY_HEADER)
+    for distance, samples in survey.rows:
+        for sample in samples:
+            writer.writerow((survey.site, _parent_fmt(distance), _parent_fmt(sample)))
+    return buf.getvalue().encode("utf-8")
+
+
+def _written(save, survey: RssiSurvey):
+    try:
+        return save(survey)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc), str(exc)
+
+
+# Characters the csv module quotes or that look like blanks, then any text; a
+# site may start or end with a blank or hold a line break.
+writer_sites = st.builds(
+    lambda before, core, after: before + core + after,
+    st.sampled_from(("", "", " ", "\t", "\x1c", "\xe9", "\n", "\r")),
+    st.text(
+        alphabet=st.one_of(
+            st.sampled_from(',"\t \x1c\xe9€'),
+            st.characters(blacklist_categories=("Cs",)),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.sampled_from(("", " ", "\t", '"', ",")),
+)
+writer_samples = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e22, -1e22, 1e300, 2.0**53)),
+    st.floats(min_value=-1e300, max_value=1e300).map(lambda x: float(math.trunc(x))),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+writer_rows = st.lists(
+    st.tuples(
+        st.one_of(  # a small pool, so distances repeat
+            st.sampled_from((1.0, 2.5, 1e-300, 5e-324, 3.0, 1e22)),
+            st.floats(min_value=5e-324, max_value=1e300),
+        ),
+        st.lists(writer_samples, min_size=1, max_size=6),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(site=writer_sites, rows=writer_rows)
+def test_survey_writer_matches_the_per_sample_writer(site, rows):
+    survey = RssiSurvey(site=site, rows=rows)
+    assert _written(save_survey_csv, survey) == _written(
+        parent_save_survey_csv, survey
+    )
+
+
+def test_survey_writer_reads_the_arrays_not_the_rows_view(monkeypatch):
+    survey = RssiSurvey(
+        site=' "face", A ', rows=((2.5, (-50.0, -0.0)), (1.0, (1e300,)), (2.5, (7,)))
+    )
+    expected = parent_save_survey_csv(survey)
+
+    def boxed(self):
+        raise AssertionError("save_survey_csv built the rows view")
+
+    monkeypatch.setattr(RssiSurvey, "rows", property(boxed))
+    assert save_survey_csv(survey) == expected
+
+
+# -- the model document against the per-field codec it replaced ---------------
+# The writer and reader as they were before one key table drove them, kept
+# verbatim but for the names as the reference.
+
+
+def _parent_reject_unknown(obj: dict, allowed: tuple[str, ...], path: str) -> None:
+    for key in obj:
+        if key not in allowed:
+            where = f"{path}.{key}" if path else key
+            raise FormatError(f"unknown field {where!r}")
+
+
+def _parent_take_number(obj: dict, key: str, path: str) -> float:
+    where = f"{path}.{key}" if path else key
+    if key not in obj:
+        raise FormatError(f"missing field {where!r}")
+    value = obj[key]
+    # bool is an int subclass; a JSON true is not a number here.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FormatError(f"field {where!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def parent_model_to_json(model: ShadowedPathLossModel) -> bytes:
+    """Serialize a model to the versioned JSON document."""
+    sigma: object
+    if model.sigma is None:
+        sigma = None
+    elif isinstance(model.sigma, ConstantSigma):
+        sigma = {"constant_db": model.sigma.value}
+    else:
+        sigma = {
+            "a": model.sigma.a,
+            "b": model.sigma.b,
+            "c": model.sigma.c,
+            "e": model.sigma.e,
+            "f": model.sigma.f,
+            "d_min_m": model.sigma.d_min,
+            "d_max_m": model.sigma.d_max,
+        }
+    doc = {
+        "format_version": dataio.MODEL_FORMAT_VERSION,
+        "d0_m": model.d0,
+        "rss_d0_dbm": model.rss_d0,
+        "eta": model.eta,
+        "sigma": sigma,
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def parent_model_from_json(data: bytes) -> ShadowedPathLossModel:
+    """Parse and validate a model document; unknown fields are errors."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"not a valid JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FormatError("document root must be a JSON object")
+    _parent_reject_unknown(
+        doc, ("format_version", "d0_m", "rss_d0_dbm", "eta", "sigma"), ""
+    )
+    if "format_version" not in doc:
+        raise FormatError("missing field 'format_version'")
+    version = doc["format_version"]
+    if version != dataio.MODEL_FORMAT_VERSION:
+        raise FormatError(
+            f"unsupported format_version {version!r}; "
+            f"this reader understands {dataio.MODEL_FORMAT_VERSION}"
+        )
+    if "sigma" not in doc:
+        raise FormatError("missing field 'sigma' (may be null)")
+    raw_sigma = doc["sigma"]
+    sigma: ConstantSigma | SigmaPolynomial | None
+    if raw_sigma is None:
+        sigma = None
+    elif isinstance(raw_sigma, dict):
+        if "constant_db" in raw_sigma:
+            _parent_reject_unknown(raw_sigma, ("constant_db",), "sigma")
+            sigma = ConstantSigma(
+                _parent_take_number(raw_sigma, "constant_db", "sigma")
+            )
+        else:
+            _parent_reject_unknown(
+                raw_sigma,
+                ("a", "b", "c", "e", "f", "d_min_m", "d_max_m"),
+                "sigma",
+            )
+            sigma = SigmaPolynomial(
+                a=_parent_take_number(raw_sigma, "a", "sigma"),
+                b=_parent_take_number(raw_sigma, "b", "sigma"),
+                c=_parent_take_number(raw_sigma, "c", "sigma"),
+                e=_parent_take_number(raw_sigma, "e", "sigma"),
+                f=_parent_take_number(raw_sigma, "f", "sigma"),
+                d_min=_parent_take_number(raw_sigma, "d_min_m", "sigma"),
+                d_max=_parent_take_number(raw_sigma, "d_max_m", "sigma"),
+            )
+    else:
+        raise FormatError(
+            "field 'sigma' must be an object or null, "
+            f"got {type(raw_sigma).__name__}"
+        )
+    return ShadowedPathLossModel(
+        d0=_parent_take_number(doc, "d0_m", ""),
+        rss_d0=_parent_take_number(doc, "rss_d0_dbm", ""),
+        eta=_parent_take_number(doc, "eta", ""),
+        sigma=sigma,
+    )
+
+
+def _read(load, data: bytes):
+    try:
+        return load(data)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc), str(exc)
+
+
+_TOP_KEYS = ("format_version", "d0_m", "rss_d0_dbm", "eta", "sigma")
+_POLY_KEYS = ("a", "b", "c", "e", "f", "d_min_m", "d_max_m")
+_FIELD_NUMBERS = st.one_of(
+    st.sampled_from((1, 1.0, 2.0, 20.0, 0.5, -40.0)),
+    st.integers(-5, 50),
+    st.floats(-100.0, 100.0),
+)
+# What a field may hold instead of a number.
+_ODD_VALUES = st.sampled_from(
+    (True, False, None, "1", "", [1], {}, {"a": 1}, float("nan"), float("inf"))
+)
+
+
+@st.composite
+def model_documents(draw):
+    """A model document, mostly valid: sigma kinds with mixed keys, fields
+    missing, extra, mistyped or boolean, keys in any order."""
+    doc = {key: draw(_FIELD_NUMBERS) for key in _TOP_KEYS[1:4]}
+    doc["d0_m"] = draw(st.sampled_from((1, 1.0, 0.5, 2.0, 3, 0.25, 0, -1.0)))
+    doc["format_version"] = draw(st.sampled_from((1,) * 6 + (1.0, True, 2, "1")))
+    sigma_keys = draw(
+        st.sampled_from(
+            (("constant_db",),) * 2 + (_POLY_KEYS,) * 3
+            + (("constant_db", "a"), ("constant_db", "d_min_m"), _POLY_KEYS[:-1], ())
+        )
+    )
+    sigma = {key: abs(draw(_FIELD_NUMBERS)) for key in sigma_keys}
+    if "d_min_m" in sigma and draw(st.integers(0, 3)):
+        sigma["d_min_m"], sigma["d_max_m"] = 1.0, 20.0
+    doc["sigma"] = draw(st.sampled_from((sigma,) * 6 + (None, None, [], "x")))
+    for _ in range(draw(st.integers(0, 2))):
+        obj = doc
+        if isinstance(doc.get("sigma"), dict) and draw(st.booleans()):
+            obj = doc["sigma"]
+        action = draw(st.sampled_from(("drop", "extra", "mistype")))
+        if action == "extra":
+            obj[draw(st.sampled_from(("extra", "d_max", "constant_db", "eta")))] = 1.0
+        elif obj:
+            key = draw(st.sampled_from(sorted(obj)))
+            if action == "drop":
+                del obj[key]
+            else:
+                obj[key] = draw(_ODD_VALUES)
+    keys = draw(st.permutations(sorted(doc)))
+    return json.dumps({key: doc[key] for key in keys}).encode()
+
+
+@settings(max_examples=800, deadline=None)
+@given(model_documents())
+def test_model_reader_matches_the_per_field_reader(data):
+    parent = _read(parent_model_from_json, data)
+    assert _read(model_from_json, data) == parent
+    if isinstance(parent, ShadowedPathLossModel):
+        assert model_to_json(parent) == parent_model_to_json(parent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(models())
+def test_model_writer_matches_the_per_field_writer(model):
+    assert model_to_json(model) == parent_model_to_json(model)
+
+
+def test_model_writer_finds_the_sigma_kind_by_isinstance():
+    class Constant(ConstantSigma):
+        pass
+
+    model = ShadowedPathLossModel(d0=1.0, rss_d0=-40.0, eta=2.0, sigma=Constant(2.0))
+    assert model_to_json(model) == parent_model_to_json(model)
+    assert json.loads(model_to_json(model))["sigma"] == {"constant_db": 2.0}

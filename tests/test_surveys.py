@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import statistics
 from dataclasses import dataclass
 
@@ -304,3 +305,32 @@ def test_hot_paths_never_build_the_rows_view(monkeypatch):
     assert survey.n_samples == 200
     survey_stats(survey)
     assert survey_stats(load_survey_csv(data)) == expected
+
+
+@pytest.mark.parametrize("distance", ["12", b"12", bytearray(b"12"), None, (1, 2), "x"])
+def test_a_distance_that_is_not_a_number_is_refused_by_name(distance):
+    message = rf"^distance must be a number, got {re.escape(repr(distance))}$"
+    with pytest.raises(DataError, match=message):
+        RssiSurvey(site="s", rows=((distance, (1.0,)),))
+    with pytest.raises(DataError, match=message):
+        DistanceStats(distance=distance, mean_rss=-50.0, sd=1.0, n=2)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_int_distance_beyond_the_float_range_is_refused_as_out_of_range(sign):
+    expected = "inf" if sign > 0 else "-inf"
+    message = f"^distance must be finite and > 0, got {expected}$"
+    with pytest.raises(DataError, match=message):
+        RssiSurvey(site="s", rows=((sign * 10**400, (1.0,)),))
+
+
+@pytest.mark.parametrize("row", [((1.0,),), (1.0,), (1.0, (1.0,), 3), 2.0, None])
+def test_a_row_that_is_not_a_pair_is_refused_by_name(row):
+    with pytest.raises(DataError, match=r"^row 1 is not a \(distance, samples\) pair$"):
+        RssiSurvey(site="s", rows=((1.0, (-50.0,)), row))
+
+
+def test_distances_that_are_numbers_still_convert():
+    survey = RssiSurvey(site="s", rows=((np.float32(2.5), (1.0,)), (3, (2.0,))))
+    assert survey.distances.tolist() == [2.5, 3.0]
+    assert DistanceStats(distance=np.int64(4), mean_rss=-50.0, sd=1.0, n=2).n == 2
