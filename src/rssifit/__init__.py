@@ -8,6 +8,8 @@ developed on, a deterministic survey simulator, and CSV/JSON codecs; the
 ``rssifit`` command exposes the pipeline.
 """
 
+from types import ModuleType as _ModuleType
+
 from .calibration import (
     FitReport,
     GoodnessOfFit,
@@ -85,69 +87,8 @@ from .surveys import DistanceStats, RssiSurvey, SurveyStats, survey_stats
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CONDITION_FALLBACK",
-    "ConstantSigma",
-    "DataError",
-    "DatasetNotFoundError",
-    "DatasetRecord",
-    "DegenerateDataError",
-    "DenseSystem",
-    "DistanceStats",
-    "FitReport",
-    "FormatError",
-    "FreeSpaceModel",
-    "GoodnessOfFit",
-    "InsufficientDataError",
-    "LineFit",
-    "LinkConstants",
-    "LinkPlan",
-    "LocalizationEstimate",
-    "NumericalError",
-    "PolynomialFit",
-    "PrrCorrelations",
-    "PublishedFit",
-    "RssiSurvey",
-    "RssifitError",
-    "ShadowedPathLossModel",
-    "SigmaFitReport",
-    "SigmaPolynomial",
-    "SigmaValue",
-    "SimulationSpec",
-    "SingularMatrixError",
-    "SolveDiagnostics",
-    "SurveyStats",
-    "TwoRayModel",
-    "confidence_interval",
-    "dataset_names",
-    "embedded_dataset",
-    "estimate_distance",
-    "fit_path_loss",
-    "fit_sigma_polynomial",
-    "free_space_rx",
-    "goodness_of_fit",
-    "load_stats_csv",
-    "load_survey_csv",
-    "max_range",
-    "model_from_json",
-    "model_to_json",
-    "ols_line",
-    "orthogonal_solve",
-    "path_loss_db",
-    "polyfit_quartic",
-    "polyval",
-    "predict_mean_rss",
-    "prr_correlations",
-    "published_fit",
-    "residual_y",
-    "rss_from_path_loss",
-    "save_stats_csv",
-    "save_survey_csv",
-    "shadow_pdf",
-    "sigma_at",
-    "simulate_survey",
-    "solve_dense",
-    "standard_normals",
-    "stationarity_sums",
-    "survey_stats",
-]
+# The imports above are the public API: every name they bind except modules.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

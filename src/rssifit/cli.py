@@ -32,8 +32,6 @@ from .calibration import (
     FitReport,
     fit_path_loss,
     fit_sigma_polynomial,
-    sigma_target,
-    stationarity_sums,
 )
 from .datasets import PUBLISHED_FITS, PublishedFit, dataset_names, embedded_dataset
 from .dataio import (
@@ -47,15 +45,8 @@ from .dataio import (
 )
 from .errors import DataError, NumericalError, RssifitError
 from .localization import check_level, confidence_interval, estimate_distance, max_range
-from .models import (
-    LinkConstants,
-    ShadowedPathLossModel,
-    SigmaPolynomial,
-    predict_mean_rss,
-    sigma_at,
-)
-from .numerics import polyval
-from .simulate import _MAX_SAMPLES, SimulationSpec, simulate_survey
+from .models import LinkConstants, ShadowedPathLossModel, predict_mean_rss, sigma_at
+from .simulate import SimulationSpec, check_survey_size, simulate_survey
 from .surveys import SurveyStats
 
 OUTPUT_FORMAT_VERSION = 1
@@ -212,12 +203,10 @@ def _cmd_sigma_fit(args):
     stats, source, published, trend = _calibrate(args)
     report = fit_sigma_polynomial(stats, target=args.target, trend=trend.model)
     sigma, gof = report.sigma, report.fit
-    observed = sigma_target(stats, report.target, trend.model).tolist()
-    fitted = polyval(sigma.coefficients, stats.distances).tolist()
     rows = [
-        dict(zip(_SIGMA_COLUMNS, row)) for row in zip(stats.distances, observed, fitted)
+        dict(zip(_SIGMA_COLUMNS, row))
+        for row in zip(report.distances, report.observed, report.fitted)
     ]
-    sums = stationarity_sums(stats, sigma, target=report.target, trend=trend.model)
     pub = None if published is None else {
         "coefficients": dict(zip(_COEFFICIENTS, published.sigma_coefficients)),
         "r2": published.r2, "rmse_db": published.rmse,
@@ -226,7 +215,7 @@ def _cmd_sigma_fit(args):
         "sigma-fit", source=source, target=report.target,
         coefficients=dict(zip(_COEFFICIENTS, sigma.coefficients)),
         d_min_m=sigma.d_min, d_max_m=sigma.d_max, r2=gof.r2, rmse_db=gof.rmse,
-        stationarity_max=max(abs(s) for s in sums),
+        stationarity_max=max(map(abs, report.stationarity)),
         trend={"eta": trend.eta, "rss_d0_dbm": trend.rss_d0,
                "intercept_mode": trend.intercept_mode},
         rows=rows, published=pub,
@@ -318,9 +307,7 @@ def _cmd_plan(args):
     warning = None
     if model.sigma is None:
         warning = "model has no fading model; no fade margin applied"
-    elif isinstance(model.sigma, SigmaPolynomial) and not (
-        model.sigma.d_min <= plan.max_range <= model.sigma.d_max
-    ):
+    elif sigma_at(model.sigma, plan.max_range).clamped:
         warning = (
             f"range extrapolates beyond the surveyed span "
             f"[{model.sigma.d_min:g}, {model.sigma.d_max:g}] m; "
@@ -355,12 +342,12 @@ def _parse_distances(text: str, samples: int) -> tuple[float, ...]:
             if stop < start:
                 raise ValueError("stop must be >= start")
             count = int((stop - start) / step + 1e-9) + 1  # int() floors: it is > 0
-            if count > _MAX_SAMPLES // max(samples, 1):  # before building a point
-                raise ValueError(f"{samples} samples at each of {count} points are "
-                                 "more than an array holds")
+            check_survey_size(count, samples)  # before building a point
             return tuple((start + np.arange(count) * step).tolist())
-        return tuple(parse_number(p) for p in text.split(","))
-    except (ValueError, OverflowError) as exc:
+        distances = tuple(parse_number(p) for p in text.split(","))
+        check_survey_size(len(distances), samples)
+        return distances
+    except (ValueError, OverflowError) as exc:  # DataError is a ValueError
         raise DataError(f"bad --distances {text!r}: {exc}") from None
 
 

@@ -251,7 +251,7 @@ def max_range(
         else:
             hi = mid
     solution = lo
-    if outage_z == 0.0 or model.sigma is None:
+    if outage_z == 0.0:  # the scan has refused z > 0 without a sigma model
         margin, clamped = 0.0, False
     else:
         sigma, clamped = _sigma_for(model, solution)

@@ -22,7 +22,7 @@ surveys whose span pushes the moments there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -252,12 +252,7 @@ def _fit_moments(
     scaled_coeffs, diag = solve_dense(scaled_system)
     unscale = d_max ** np.arange(degree, -1, -1, dtype=np.float64)
     coeffs = tuple(float(c) for c in scaled_coeffs / unscale)
-    return coeffs, SolveDiagnostics(
-        pivot_magnitudes=diag.pivot_magnitudes,
-        condition_estimate=cond,
-        used_orthogonal=diag.used_orthogonal,
-        scaled=True,
-    )
+    return coeffs, replace(diag, condition_estimate=cond, scaled=True)
 
 
 def polyfit_quartic(d: object, y: object) -> PolynomialFit:

@@ -26,13 +26,14 @@ already generated, so incremental experiments stay reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 from .models import ShadowedPathLossModel, predict_mean_rss, sigma_at
-from .surveys import RssiSurvey
+from .surveys import RssiSurvey, _check_distance
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -45,7 +46,10 @@ _MAX_SAMPLES = np.iinfo(np.intp).max // 8
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """What to simulate: model, measurement distances, repetitions, seed."""
+    """What to simulate: model, measurement distances, repetitions, seed.
+
+    Distances are kept as a tuple of floats, the counts as plain ints.
+    """
 
     model: ShadowedPathLossModel
     distances: tuple[float, ...]
@@ -54,26 +58,45 @@ class SimulationSpec:
     site: str = "simulated"
 
     def __post_init__(self) -> None:
-        if not self.distances:
+        try:
+            distances = tuple(map(_check_distance, self.distances))
+        except TypeError:  # not iterable
+            raise DataError(
+                f"distances must be a sequence, got {self.distances!r}"
+            ) from None
+        if not distances:
             raise DataError("distances must be non-empty")
-        for d in self.distances:
-            if not math.isfinite(d) or d <= 0:
-                raise DataError(f"distances must be finite and > 0, got {d!r}")
-        if self.samples_per_distance < 1:
-            raise DataError(
-                f"samples_per_distance must be >= 1, "
-                f"got {self.samples_per_distance!r}"
-            )
-        if len(self.distances) * self.samples_per_distance > _MAX_SAMPLES:
-            raise DataError(
-                f"{len(self.distances)} distances x {self.samples_per_distance} "
-                "samples are more than one float64 array can hold"
-            )
-        if not isinstance(self.seed, int):
-            raise DataError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed <= _U64:
+        samples = _integer("samples_per_distance", self.samples_per_distance)
+        if samples < 1:
+            raise DataError(f"samples_per_distance must be >= 1, got {samples!r}")
+        check_survey_size(len(distances), samples)
+        seed = _integer("seed", self.seed)
+        if not 0 <= seed <= _U64:
             # Seeds are taken mod 2**64; one outside would alias another.
-            raise DataError(f"seed must be in [0, 2**64), got {self.seed!r}")
+            raise DataError(f"seed must be in [0, 2**64), got {seed!r}")
+        object.__setattr__(self, "distances", distances)
+        object.__setattr__(self, "samples_per_distance", samples)
+        object.__setattr__(self, "seed", seed)
+
+
+def _integer(name: str, value: object) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DataError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_survey_size(points: int, samples: int) -> None:
+    """Refuse a survey of ``points`` x ``samples`` that no array can hold.
+
+    A ``samples`` below 1 counts as 1, so a huge count of points is refused
+    before anything is built from them.
+    """
+    if points > _MAX_SAMPLES // max(samples, 1):
+        raise DataError(
+            f"{samples} samples at each of {points} points are more than an "
+            "array holds"
+        )
 
 
 # The two uniform streams' offsets from k: GOLDEN and 2*GOLDEN.

@@ -16,10 +16,13 @@ from rssifit import (
     fit_path_loss,
     fit_sigma_polynomial,
     goodness_of_fit,
+    load_stats_csv,
+    polyval,
     predict_mean_rss,
     prr_correlations,
     published_fit,
     residual_y,
+    save_stats_csv,
     stationarity_sums,
 )
 from rssifit.calibration import sigma_target
@@ -290,3 +293,25 @@ def test_stationarity_sums_nonzero_away_from_optimum(longwall):
     off = SigmaPolynomial(a=0, b=0, c=0, e=0, f=10.0, d_min=1.0, d_max=20.0)
     sums = stationarity_sums(longwall, off)
     assert max(abs(s) for s in sums) > 1.0
+
+
+@pytest.mark.parametrize("target", ["sample_sd", "residual_y"])
+@pytest.mark.parametrize("name", ["longwall-face", "gateroad-conveyor", "csv"])
+@pytest.mark.parametrize("mode", ["free", "anchored"])
+def test_sigma_fit_report_carries_its_series_bit_for_bit(
+    longwall, gateroad, target, name, mode
+):
+    stats = {
+        "longwall-face": longwall,
+        "gateroad-conveyor": gateroad,
+        "csv": load_stats_csv(save_stats_csv(gateroad), site="csv"),
+    }[name]
+    trend = fit_path_loss(stats, intercept_mode=mode).model
+    report = fit_sigma_polynomial(stats, target=target, trend=trend)
+    d = np.array(stats.distances)
+    assert report.distances == stats.distances
+    assert report.observed == tuple(sigma_target(stats, target, trend).tolist())
+    assert report.fitted == tuple(polyval(report.sigma.coefficients, d).tolist())
+    assert report.stationarity == stationarity_sums(
+        stats, report.sigma, target=target, trend=trend
+    )

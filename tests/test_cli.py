@@ -20,7 +20,7 @@ from rssifit import (
     save_stats_csv,
     simulate_survey,
 )
-from rssifit import cli
+from rssifit import calibration, cli
 from rssifit.cli import main
 from rssifit.errors import DataError
 from rssifit.models import ConstantSigma, ShadowedPathLossModel, SigmaPolynomial
@@ -641,3 +641,34 @@ def test_every_cli_run_exits_0_1_or_2_with_one_error_line(boundary_files, argv):
     else:
         _one_error_line(out.getvalue(), err.getvalue())
         assert err.getvalue().removeprefix("error: ").strip(), err.getvalue()
+
+
+def test_sigma_fit_evaluates_its_target_once(capsys, monkeypatch):
+    calls = []
+    target = calibration.sigma_target
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return target(*args, **kwargs)
+
+    monkeypatch.setattr(calibration, "sigma_target", counted)
+    payload = run_json(capsys, "sigma-fit", "longwall-face", "--target", "residual_y")
+    assert len(calls) == 1
+    assert payload["stationarity_max"] <= 1e-6
+
+
+def test_both_distance_spellings_word_the_size_limit_alike(capsys, tmp_path):
+    model = _model_file(tmp_path)
+    lines = []
+    for distances in ("1,2,3", "1:3"):
+        rc, out, err = run(
+            capsys, "simulate", "--model", model, "--distances", distances,
+            "--samples", str(10**18),
+        )
+        assert rc == 1
+        _one_error_line(out, err, f"error: bad --distances '{distances}': ")
+        lines.append(err.split("': ", 1)[1])
+    assert lines == [
+        "1000000000000000000 samples at each of 3 points are more than an array "
+        "holds\n"
+    ] * 2

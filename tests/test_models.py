@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rssifit import (
     ConstantSigma,
@@ -149,3 +151,19 @@ def test_models_are_immutable():
 
 def test_default_sensitivity_is_minus_92_dbm():
     assert LinkConstants().receiver_sensitivity == -92.0
+
+
+_POLY = SigmaPolynomial(a=0.0, b=0.0, c=0.01, e=0.2, f=3.0, d_min=1.5, d_max=20.0)
+_EDGES = [
+    math.nextafter(edge, toward)
+    for edge in (_POLY.d_min, _POLY.d_max)
+    for toward in (0.0, edge, math.inf)
+]
+
+
+@given(st.floats(min_value=1e-300, max_value=1e300))
+def test_sigma_clamps_exactly_outside_its_domain(d):
+    # Each domain endpoint and its two neighbouring floats, then any distance.
+    for x in (*_EDGES, d):
+        assert sigma_at(_POLY, x).clamped == (not _POLY.d_min <= x <= _POLY.d_max)
+        assert sigma_at(ConstantSigma(2.0), x) == (2.0, False)

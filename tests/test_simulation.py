@@ -328,3 +328,26 @@ def test_growing_a_survey_never_changes_generated_values(
     for (d, row), (d_long, row_long) in zip(short[0], long[0]):
         assert d == d_long
         assert row_long[:samples] == row
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("distances", ("1",), "distance must be a number, got '1'"),
+        ("distances", (None,), "distance must be a number, got None"),
+        ("distances", 5, "distances must be a sequence, got 5"),
+        ("samples_per_distance", 1.5, "samples_per_distance must be an integer"),
+        ("samples_per_distance", "3", "samples_per_distance must be an integer"),
+    ],
+)
+def test_spec_refuses_bad_fields_by_name(field, value, message):
+    with pytest.raises(DataError, match=message):
+        spec(**{field: value})
+
+
+def test_spec_takes_integer_likes_as_plain_ints():
+    numpy_spec = spec(distances=[1, 2], samples_per_distance=np.int64(3),
+                      seed=np.uint64(2**64 - 1))
+    plain = spec(distances=(1.0, 2.0), samples_per_distance=3, seed=2**64 - 1)
+    assert numpy_spec == plain
+    assert simulate_survey(numpy_spec) == simulate_survey(plain)
