@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DegenerateDataError, InsufficientDataError
+from .errors import integer, one_of, positive
 from .models import ShadowedPathLossModel, SigmaPolynomial, predict_mean_rss
 from .numerics import (
     DenseSystem,
@@ -73,7 +74,7 @@ def goodness_of_fit(observed: object, fitted: object, n_params: int) -> Goodness
             f"and {fit.shape}"
         )
     n = obs.size
-    dfe = n - n_params
+    dfe = n - integer("n_params", n_params, least=0)
     if dfe < 1:
         raise InsufficientDataError(
             f"{n} observations leave no residual degrees of freedom for "
@@ -131,13 +132,8 @@ def fit_path_loss(
     single normal equation for the slope. Needs at least 3 rows so a line
     leaves at least one residual degree of freedom in either mode.
     """
-    if intercept_mode not in INTERCEPT_MODES:
-        raise DataError(
-            f"intercept_mode must be one of {INTERCEPT_MODES}, "
-            f"got {intercept_mode!r}"
-        )
-    if not math.isfinite(d0) or d0 <= 0:
-        raise DataError(f"d0 must be finite and > 0, got {d0!r}")
+    intercept_mode = one_of("intercept_mode", intercept_mode, INTERCEPT_MODES)
+    d0 = positive("d0", d0)
     if len(stats.rows) < 3:
         raise InsufficientDataError(
             f"need at least 3 distinct distances to fit a trend, "
@@ -166,9 +162,7 @@ def fit_path_loss(
         yc = y - rss_d0
         sxx = float(np.sum(x * x))
         if sxx == 0.0:
-            raise DegenerateDataError(
-                "all distances equal d0; slope is undefined"
-            )
+            raise DegenerateDataError("all distances equal d0; slope is undefined")
         # 1x1 normal equation, routed through the shared solver so anchored
         # fits report pivot/condition diagnostics like free ones.
         coeffs, diagnostics = solve_dense(
@@ -181,7 +175,7 @@ def fit_path_loss(
     gof = goodness_of_fit(y, fitted, n_params=n_params)
     residuals = tuple(float(v) for v in (y - fitted))
     y_values = tuple(r / RESIDUAL_Z for r in residuals)
-    model = ShadowedPathLossModel(d0=float(d0), rss_d0=float(rss_d0), eta=float(eta))
+    model = ShadowedPathLossModel(d0=d0, rss_d0=rss_d0, eta=eta)
     return FitReport(
         model=model,
         intercept_mode=intercept_mode,
@@ -220,11 +214,7 @@ def sigma_target(
     'sample_sd' is the SD column; 'residual_y' is the scaled residuals of
     ``trend``, which is fitted to the same rows with defaults when omitted.
     """
-    if target not in SIGMA_TARGETS:
-        raise DataError(
-            f"target must be one of {SIGMA_TARGETS}, got {target!r}"
-        )
-    if target == "sample_sd":
+    if one_of("target", target, SIGMA_TARGETS) == "sample_sd":
         return np.array(stats.sds, dtype=np.float64)
     if trend is None:
         trend = fit_path_loss(stats).model
@@ -273,13 +263,11 @@ def fit_sigma_polynomial(
     when omitted one is fitted to the same rows with defaults. The
     polynomial's validity domain is set to the surveyed distance span.
     """
+    target = one_of("target", target, SIGMA_TARGETS)
     y = sigma_target(stats, target, trend)
     d = np.array(stats.distances, dtype=np.float64)
     poly = polyfit_quartic(d, y)
-    a, b, c, e, f = poly.coefficients
-    sigma = SigmaPolynomial(
-        a=a, b=b, c=c, e=e, f=f, d_min=float(d.min()), d_max=float(d.max())
-    )
+    sigma = SigmaPolynomial(*poly.coefficients, d_min=d.min(), d_max=d.max())
     fitted = polyval(poly.coefficients, d)
     gof = goodness_of_fit(y, fitted, n_params=5)
     return SigmaFitReport(

@@ -43,8 +43,8 @@ from .dataio import (
     save_stats_csv,
     save_survey_csv,
 )
-from .errors import DataError, NumericalError, RssifitError
-from .localization import check_level, confidence_interval, estimate_distance, max_range
+from .errors import DataError, NumericalError, RssifitError, probability
+from .localization import confidence_interval, estimate_distance, max_range
 from .models import LinkConstants, ShadowedPathLossModel, predict_mean_rss, sigma_at
 from .simulate import SimulationSpec, check_survey_size, simulate_survey
 from .surveys import SurveyStats
@@ -272,7 +272,7 @@ def _metres(value: float) -> str:
 def _cmd_localize(args):
     model = _load_model(args.model)
     # Checked first for every model, as confidence_interval checks it.
-    check_level(args.level)
+    probability("level", args.level)
     if model.sigma is None:
         d_hat = estimate_distance(model, args.rss)
         d_lo = d_hi = sigma_db = clamped = None
@@ -307,7 +307,7 @@ def _cmd_plan(args):
     warning = None
     if model.sigma is None:
         warning = "model has no fading model; no fade margin applied"
-    elif sigma_at(model.sigma, plan.max_range).clamped:
+    elif plan.clamped:
         warning = (
             f"range extrapolates beyond the surveyed span "
             f"[{model.sigma.d_min:g}, {model.sigma.d_max:g}] m; "

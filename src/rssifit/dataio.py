@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, number
 from .models import ConstantSigma, ShadowedPathLossModel, SigmaPolynomial
 from .surveys import DistanceStats, RssiSurvey, SurveyStats
 
@@ -293,19 +293,13 @@ def load_stats_csv(data: bytes, site: str = "stats") -> SurveyStats:
     for line, row in _records(_decode(data), STATS_HEADER):
         d_text, mean_text, sd_text, prr_text, n_text = row
         try:
-            rows.append(
-                DistanceStats(
-                    distance=_parse_float(d_text, line, "distance_m"),
-                    mean_rss=_parse_float(mean_text, line, "mean_dbm"),
-                    sd=_parse_float(sd_text, line, "sd_db"),
-                    n=_parse_int(n_text, line, "n"),
-                    prr=(
-                        None
-                        if prr_text == ""
-                        else _parse_float(prr_text, line, "prr_pct")
-                    ),
-                )
-            )
+            rows.append(DistanceStats(
+                _parse_float(d_text, line, "distance_m"),
+                _parse_float(mean_text, line, "mean_dbm"),
+                _parse_float(sd_text, line, "sd_db"),
+                _parse_int(n_text, line, "n"),
+                None if prr_text == "" else _parse_float(prr_text, line, "prr_pct"),
+            ))
         except FormatError:
             raise
         except DataError as exc:
@@ -340,11 +334,10 @@ def _take_numbers(obj: dict, keys: tuple[str, ...], prefix: str) -> list[float]:
     for key in keys:
         if key not in obj:
             raise FormatError(f"missing field {prefix + key!r}")
-        value = obj[key]
-        # bool is an int subclass; a JSON true is not a number here.
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise FormatError(f"field {prefix + key!r} must be a number, got {value!r}")
-        numbers.append(float(value))
+        try:  # any number here; the model's constructors check its range
+            numbers.append(number(f"field {prefix + key!r}", obj[key]))
+        except DataError as exc:
+            raise FormatError(str(exc)) from None
     return numbers
 
 

@@ -113,19 +113,8 @@ class PublishedFit:
 
 
 def _stats(site: str, rows) -> SurveyStats:
-    return SurveyStats(
-        site=site,
-        rows=tuple(
-            DistanceStats(
-                distance=float(d),
-                mean_rss=float(mean),
-                sd=float(sd),
-                n=_SAMPLES_PER_ROW,
-                prr=float(prr),
-            )
-            for d, mean, sd, prr in rows
-        ),
-    )
+    n = _SAMPLES_PER_ROW
+    return SurveyStats(site, tuple(DistanceStats(d, m, s, n, p) for d, m, s, p in rows))
 
 
 _REGISTRY = {
@@ -193,7 +182,7 @@ def embedded_dataset(name: str) -> DatasetRecord:
     """
     try:
         return _REGISTRY[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that cannot be a key
         available = ", ".join(sorted(_REGISTRY))
         raise DatasetNotFoundError(
             f"no embedded dataset named {name!r}; available: {available}"
@@ -204,7 +193,7 @@ def published_fit(name: str) -> PublishedFit:
     """Published model parameters for a survey dataset, if any."""
     try:
         return PUBLISHED_FITS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that cannot be a key
         available = ", ".join(sorted(PUBLISHED_FITS))
         raise DatasetNotFoundError(
             f"no published fit for {name!r}; available: {available}"

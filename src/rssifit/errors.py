@@ -1,10 +1,18 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the field rules that raise its DataError.
 
 Two branches matter for callers: :class:`DataError` covers bad inputs
 (validation, parsing, missing datasets) and :class:`NumericalError` covers
 failures of the math itself (singular systems, degenerate regressions).
 The CLI maps them to exit codes 1 and 2 respectively.
+
+Every public constructor and entry point checks its scalars with the field
+rules below. Each returns the canonical ``float``, ``int`` or ``str``, or
+raises :class:`DataError` naming the field. A number is what ``float`` takes
+but text and bools: Python and numpy ints and floats, 0-d arrays of them.
 """
+
+import math
+import operator
 
 
 class RssifitError(Exception):
@@ -37,3 +45,95 @@ class SingularMatrixError(NumericalError):
 
 class DegenerateDataError(NumericalError):
     """Data admits no unique fit (constant abscissae, constant column)."""
+
+
+def _refused(value: object) -> bool:
+    """Bools, text, and numpy values of another kind or with dimensions."""
+    if isinstance(value, (bool, str, bytes, bytearray)):
+        return True
+    kind = getattr(getattr(value, "dtype", None), "kind", "f")
+    return kind not in "iuf" or getattr(value, "ndim", 0) != 0
+
+
+def number(name: str, value: object) -> float:
+    """``value`` as a float; nan and the infinities pass."""
+    if value.__class__ is float:
+        return value
+    try:
+        if _refused(value):
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError):
+        raise DataError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:  # an int beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def real(name: str, value: object) -> float:
+    """A finite number."""
+    # Testing for a float here too spares the hot paths a call to number().
+    x = value if value.__class__ is float else number(name, value)
+    if x - x != 0.0:  # nan or infinite
+        raise DataError(f"{name} must be finite, got {x!r}")
+    return x
+
+
+def positive(name: str, value: object) -> float:
+    """A finite number above 0."""
+    x = value if value.__class__ is float else number(name, value)
+    if not 0.0 < x < math.inf:
+        raise DataError(f"{name} must be finite and > 0, got {x!r}")
+    return x
+
+
+def nonnegative(name: str, value: object) -> float:
+    """A finite number, at least 0."""
+    x = value if value.__class__ is float else number(name, value)
+    if not 0.0 <= x < math.inf:
+        raise DataError(f"{name} must be finite and >= 0, got {x!r}")
+    return x
+
+
+def probability(name: str, value: object) -> float:
+    """A number strictly between 0 and 1."""
+    p = value if value.__class__ is float else number(name, value)
+    if not 0.0 < p < 1.0:
+        raise DataError(f"{name} must be in (0, 1), got {p!r}")
+    return p
+
+
+def integer(name: str, value: object, least: int | None = None) -> int:
+    """An integer, at least ``least`` when that is given."""
+    if value.__class__ is not int:
+        try:
+            if _refused(value):
+                raise TypeError
+            value = operator.index(value)
+        except TypeError:
+            raise DataError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise DataError(f"{name} must be >= {least}, got {value!r}")
+    return value
+
+
+def text(name: str, value: object) -> str:
+    """A non-empty string."""
+    if not isinstance(value, str) or not value:
+        raise DataError(f"{name} must be a non-empty string")
+    return str(value)
+
+
+def one_of(name: str, value: object, choices: tuple[str, ...]) -> str:
+    """One of the strings ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        raise DataError(f"{name} must be one of {choices}, got {value!r}")
+    return str(value)
+
+
+def settle(obj: object, rule, *names: str) -> None:
+    """Store what ``rule`` returns in each named field of a frozen dataclass."""
+    for name in names:
+        value = getattr(obj, name)
+        canonical = rule(name, value)
+        if canonical is not value:
+            object.__setattr__(obj, name, canonical)

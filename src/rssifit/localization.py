@@ -25,7 +25,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, nonnegative, positive, probability
+from .errors import real, settle
 from .models import (
     LinkConstants,
     ShadowedPathLossModel,
@@ -39,11 +40,7 @@ from .models import (
 RANGE_SEARCH_MAX = 1e6
 RANGE_TOLERANCE = 0.01
 
-
-def check_level(level: float) -> None:
-    """Reject a confidence level outside the open interval (0, 1)."""
-    if not 0.0 < level < 1.0:
-        raise DataError(f"level must be in (0, 1), got {level!r}")
+_NORMAL = NormalDist()  # whose quantiles give the intervals' z
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,8 @@ class LocalizationEstimate:
     clamped: bool
 
     def __post_init__(self) -> None:
-        check_level(self.level)
+        settle(self, real, "d_hat", "d_lo", "d_hi", "sigma_used")
+        settle(self, probability, "level")
         if not 0.0 < self.d_lo <= self.d_hat <= self.d_hi:
             raise DataError(
                 "interval must satisfy 0 < d_lo <= d_hat <= d_hi, got "
@@ -82,10 +80,9 @@ class LinkPlan:
     clamped: bool
 
     def __post_init__(self) -> None:
-        if self.max_range <= 0:
-            raise DataError(f"max_range must be > 0, got {self.max_range!r}")
-        if self.margin_db < 0:
-            raise DataError(f"margin_db must be >= 0, got {self.margin_db!r}")
+        settle(self, positive, "max_range")
+        settle(self, nonnegative, "margin_db", "outage_z")
+        settle(self, real, "sensitivity")
 
 
 def estimate_distance(model: ShadowedPathLossModel, rss: float) -> float:
@@ -95,11 +92,11 @@ def estimate_distance(model: ShadowedPathLossModel, rss: float) -> float:
     inverse (RSS would not decrease with distance).
     """
     if model.eta <= 0:
-        raise DataError(
-            f"cannot invert a model with eta <= 0 (eta = {model.eta!r})"
-        )
-    if not math.isfinite(rss):
-        raise DataError(f"rss must be finite, got {rss!r}")
+        raise DataError(f"cannot invert a model with eta <= 0 (eta = {model.eta!r})")
+    return _invert(model, real("rss", rss))
+
+
+def _invert(model: ShadowedPathLossModel, rss: float) -> float:
     try:
         d = model.d0 * 10.0 ** ((model.rss_d0 - rss) / (10.0 * model.eta))
     except OverflowError:
@@ -113,9 +110,7 @@ def estimate_distance(model: ShadowedPathLossModel, rss: float) -> float:
 
 
 def _no_sigma() -> DataError:
-    return DataError(
-        "model has no fading model; fit or attach a sigma model first"
-    )
+    return DataError("model has no fading model; fit or attach a sigma model first")
 
 
 def _negative_sigma(value: float, d: float) -> NumericalError:
@@ -154,37 +149,22 @@ def confidence_interval(
     for ``level``. A stronger signal means a shorter distance, so the +z
     perturbation gives the lower endpoint.
     """
-    check_level(level)
+    level = probability("level", level)
     d_hat = estimate_distance(model, rss)
+    rss = float(rss)  # estimate_distance has checked it
     sigma, clamped = _sigma_for(model, d_hat)
-    z = NormalDist().inv_cdf((1.0 + level) / 2.0)
+    z = _NORMAL.inv_cdf((1.0 + level) / 2.0)
     shifted = rss + z * sigma
     try:
-        d_lo = estimate_distance(model, shifted)
+        d_lo = _invert(model, shifted)
     except DataError:
         raise _uninvertible_endpoint("lower", "+", rss, level, shifted) from None
     shifted = rss - z * sigma
     try:
-        d_hi = estimate_distance(model, shifted)
+        d_hi = _invert(model, shifted)
     except DataError:
         raise _uninvertible_endpoint("upper", "-", rss, level, shifted) from None
-    return LocalizationEstimate(
-        d_hat=d_hat,
-        d_lo=d_lo,
-        d_hi=d_hi,
-        level=level,
-        sigma_used=sigma,
-        clamped=clamped,
-    )
-
-
-def _downlink_margin(model: ShadowedPathLossModel, outage_z: float, d: float) -> float:
-    """predict(d) - z*sigma(d) - sensitivity, without the sensitivity term."""
-    mean = predict_mean_rss(model, d)
-    if outage_z == 0.0:
-        return mean
-    sigma, _ = _sigma_for(model, d)
-    return mean - outage_z * sigma
+    return LocalizationEstimate(d_hat, d_lo, d_hi, level, sigma, clamped)
 
 
 def max_range(
@@ -204,8 +184,7 @@ def max_range(
     """
     if model.eta <= 0:
         raise DataError(f"max_range requires eta > 0, got {model.eta!r}")
-    if not math.isfinite(outage_z) or outage_z < 0:
-        raise DataError(f"outage_z must be finite and >= 0, got {outage_z!r}")
+    outage_z = nonnegative("outage_z", outage_z)
     sens = constants.receiver_sensitivity
     if sens >= model.rss_d0:
         raise DataError(
@@ -214,7 +193,10 @@ def max_range(
         )
 
     def objective(d: float) -> float:
-        return _downlink_margin(model, outage_z, d) - sens
+        """predict(d) - z*sigma(d) - sensitivity."""
+        if outage_z == 0.0:
+            return predict_mean_rss(model, d) - sens
+        return predict_mean_rss(model, d) - outage_z * _sigma_for(model, d)[0] - sens
 
     grid = np.geomspace(model.d0, RANGE_SEARCH_MAX, 4097)
     # Python float arithmetic overflows to inf silently; so does this scan.
@@ -256,10 +238,4 @@ def max_range(
     else:
         sigma, clamped = _sigma_for(model, solution)
         margin = outage_z * sigma
-    return LinkPlan(
-        max_range=solution,
-        margin_db=margin,
-        outage_z=outage_z,
-        sensitivity=sens,
-        clamped=clamped,
-    )
+    return LinkPlan(solution, margin, outage_z, sens, clamped)

@@ -23,21 +23,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import DataError
-
-
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DataError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _require_positive(name: str, value: float) -> float:
-    value = _require_finite(name, value)
-    if value <= 0:
-        raise DataError(f"{name} must be > 0, got {value!r}")
-    return value
+from .errors import DataError, nonnegative, positive, real, settle
 
 
 @dataclass(frozen=True)
@@ -52,8 +38,7 @@ class FreeSpaceModel:
     tx_power: float
 
     def __post_init__(self) -> None:
-        _require_positive("c_t", self.c_t)
-        _require_positive("tx_power", self.tx_power)
+        settle(self, positive, "c_t", "tx_power")
 
 
 @dataclass(frozen=True)
@@ -64,8 +49,7 @@ class TwoRayModel:
     tx_power: float
 
     def __post_init__(self) -> None:
-        _require_positive("c_t2", self.c_t2)
-        _require_positive("tx_power", self.tx_power)
+        settle(self, positive, "c_t2", "tx_power")
 
 
 @dataclass(frozen=True)
@@ -88,10 +72,8 @@ class SigmaPolynomial:
     d_max: float
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "e", "f"):
-            _require_finite(name, getattr(self, name))
-        _require_positive("d_min", self.d_min)
-        _require_finite("d_max", self.d_max)
+        settle(self, real, "a", "b", "c", "e", "f", "d_max")
+        settle(self, positive, "d_min")
         if self.d_max <= self.d_min:
             raise DataError(
                 f"d_max must exceed d_min, got [{self.d_min!r}, {self.d_max!r}]"
@@ -110,9 +92,7 @@ class ConstantSigma:
     value: float
 
     def __post_init__(self) -> None:
-        _require_finite("value", self.value)
-        if self.value < 0:
-            raise DataError(f"sigma must be >= 0, got {self.value!r}")
+        settle(self, nonnegative, "value")
 
 
 SigmaModel = Union[SigmaPolynomial, ConstantSigma]
@@ -124,8 +104,9 @@ class ShadowedPathLossModel:
 
     Mean RSS at distance d is ``rss_d0 - 10 * eta * log10(d / d0)``; the
     fading term is zero-mean Gaussian in dB with standard deviation given by
-    ``sigma`` (fixed mean of zero, not configurable). ``sigma`` may be None
-    for a freshly fitted distance trend that has no fading model yet.
+    ``sigma`` (fixed mean of zero, not configurable): a
+    :class:`SigmaPolynomial`, a :class:`ConstantSigma`, or None for a freshly
+    fitted distance trend that has no fading model yet.
     """
 
     d0: float
@@ -134,9 +115,13 @@ class ShadowedPathLossModel:
     sigma: SigmaModel | None = None
 
     def __post_init__(self) -> None:
-        _require_positive("d0", self.d0)
-        _require_finite("rss_d0", self.rss_d0)
-        _require_finite("eta", self.eta)
+        settle(self, positive, "d0")
+        settle(self, real, "rss_d0", "eta")
+        if not isinstance(self.sigma, (SigmaPolynomial, ConstantSigma, type(None))):
+            raise DataError(
+                "sigma must be a SigmaPolynomial, a ConstantSigma or None, "
+                f"got {self.sigma!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -150,7 +135,7 @@ class LinkConstants:
     receiver_sensitivity: float = -92.0
 
     def __post_init__(self) -> None:
-        _require_finite("receiver_sensitivity", self.receiver_sensitivity)
+        settle(self, real, "receiver_sensitivity")
         if self.receiver_sensitivity >= 0:
             raise DataError(
                 "receiver_sensitivity must be < 0 dBm, "
@@ -170,29 +155,29 @@ def path_loss_db(pt_dbm: float, pr_dbm: float) -> float:
 
     PL = 10*log10(Pt/Pr) collapses to a subtraction in dB units.
     """
-    return _require_finite("pt_dbm", pt_dbm) - _require_finite("pr_dbm", pr_dbm)
+    return real("pt_dbm", pt_dbm) - real("pr_dbm", pr_dbm)
 
 
 def rss_from_path_loss(pt_dbm: float, pl_db: float) -> float:
     """Inverse of :func:`path_loss_db`: received power for a known Pt."""
-    return _require_finite("pt_dbm", pt_dbm) - _require_finite("pl_db", pl_db)
+    return real("pt_dbm", pt_dbm) - real("pl_db", pl_db)
 
 
 def free_space_rx(model: FreeSpaceModel, d: float) -> float:
     """Received power (linear units) at distance d under the 1/d^2 model."""
-    d = _require_positive("d", d)
+    d = positive("d", d)
     return model.c_t * model.tx_power / (d * d)
 
 
 def two_ray_rx(model: TwoRayModel, d: float) -> float:
     """Received power (linear units) at distance d under the 1/d^4 model."""
-    d = _require_positive("d", d)
+    d = positive("d", d)
     return model.c_t2 * model.tx_power / (d * d * d * d)
 
 
 def predict_mean_rss(model: ShadowedPathLossModel, d: float) -> float:
     """Mean RSS in dBm at distance d (the fading term at its zero mean)."""
-    d = _require_positive("d", d)
+    d = positive("d", d)
     return model.rss_d0 - 10.0 * model.eta * math.log10(d / model.d0)
 
 
@@ -203,10 +188,10 @@ def sigma_at(sigma: SigmaModel, d: float) -> SigmaValue:
     domain first and the flag reports whether clamping occurred. A
     :class:`ConstantSigma` never clamps.
     """
-    d = _require_positive("d", d)
+    d = positive("d", d)
     if isinstance(sigma, ConstantSigma):
         return SigmaValue(sigma.value, False)
-    dc = min(max(d, sigma.d_min), sigma.d_max)
+    dc = sigma.d_min if d < sigma.d_min else sigma.d_max if d > sigma.d_max else d
     value = (((sigma.a * dc + sigma.b) * dc + sigma.c) * dc + sigma.e) * dc + sigma.f
     return SigmaValue(value, dc != d)
 
@@ -235,7 +220,7 @@ def sigma_curve(sigma: SigmaModel, d: np.ndarray) -> np.ndarray:
 
 def shadow_pdf(psi: float, sigma: float) -> float:
     """Probability density of the zero-mean Gaussian fading term, in dB."""
-    psi = _require_finite("psi", psi)
-    sigma = _require_positive("sigma", sigma)
+    psi = real("psi", psi)
+    sigma = positive("sigma", sigma)
     z = psi / sigma
     return math.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sigma)

@@ -26,14 +26,13 @@ already generated, so incremental experiments stay reproducible.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, integer, positive, settle, text
 from .models import ShadowedPathLossModel, predict_mean_rss, sigma_at
-from .surveys import RssiSurvey, _check_distance
+from .surveys import RssiSurvey
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -59,31 +58,22 @@ class SimulationSpec:
 
     def __post_init__(self) -> None:
         try:
-            distances = tuple(map(_check_distance, self.distances))
+            distances = tuple(positive("distance", d) for d in self.distances)
         except TypeError:  # not iterable
             raise DataError(
                 f"distances must be a sequence, got {self.distances!r}"
             ) from None
         if not distances:
             raise DataError("distances must be non-empty")
-        samples = _integer("samples_per_distance", self.samples_per_distance)
-        if samples < 1:
-            raise DataError(f"samples_per_distance must be >= 1, got {samples!r}")
-        check_survey_size(len(distances), samples)
-        seed = _integer("seed", self.seed)
-        if not 0 <= seed <= _U64:
-            # Seeds are taken mod 2**64; one outside would alias another.
-            raise DataError(f"seed must be in [0, 2**64), got {seed!r}")
         object.__setattr__(self, "distances", distances)
+        samples = integer("samples_per_distance", self.samples_per_distance, least=1)
         object.__setattr__(self, "samples_per_distance", samples)
-        object.__setattr__(self, "seed", seed)
-
-
-def _integer(name: str, value: object) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DataError(f"{name} must be an integer, got {value!r}") from None
+        check_survey_size(len(distances), samples)
+        settle(self, integer, "seed")
+        if not 0 <= self.seed <= _U64:
+            # Seeds are taken mod 2**64; one outside would alias another.
+            raise DataError(f"seed must be in [0, 2**64), got {self.seed!r}")
+        settle(self, text, "site")
 
 
 def check_survey_size(points: int, samples: int) -> None:
@@ -131,7 +121,10 @@ def _normals(seed: int, rows: np.ndarray, count: int) -> np.ndarray:
 
 def standard_normals(seed: int, distance_index: int, count: int) -> np.ndarray:
     """The deterministic standard-normal draws for one distance row."""
-    return _normals(seed, np.array([distance_index & _U64]), count)[0]
+    seed, index = integer("seed", seed), integer("distance_index", distance_index)
+    count = integer("count", count, least=0)
+    check_survey_size(1, count)
+    return _normals(seed, np.array([index & _U64]), count)[0]
 
 
 def simulate_survey(spec: SimulationSpec) -> RssiSurvey:

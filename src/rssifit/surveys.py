@@ -9,7 +9,6 @@ packet reception ratio), the shape the embedded reference tables arrive in.
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass, field
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -17,20 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, InsufficientDataError
-
-
-def _check_distance(d: float) -> float:
-    try:
-        if isinstance(d, (str, bytes, bytearray)):
-            raise TypeError  # float() would read the text as a number
-        d = float(d)
-    except (TypeError, ValueError):
-        raise DataError(f"distance must be a number, got {d!r}") from None
-    except OverflowError:  # an int beyond the float range
-        d = math.inf if d > 0 else -math.inf
-    if not math.isfinite(d) or d <= 0:
-        raise DataError(f"distance must be finite and > 0, got {d!r}")
-    return d
+from .errors import integer, nonnegative, number, positive, real, settle, text
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,15 +39,14 @@ class RssiSurvey:
     samples: np.ndarray = field(init=False)
 
     def __post_init__(self, rows) -> None:
-        if not self.site:
-            raise DataError("site must be a non-empty string")
+        settle(self, text, "site")
         distances, chunks = [], []
         for i, row in enumerate(rows):
             try:
                 distance, samples = row
             except (TypeError, ValueError):
                 raise DataError(f"row {i} is not a (distance, samples) pair") from None
-            distance = _check_distance(distance)
+            distance = positive("distance", distance)
             try:
                 values = np.asarray(samples, dtype=np.float64)
             except (TypeError, ValueError, OverflowError):
@@ -119,15 +104,14 @@ class DistanceStats:
     prr: float | None = None
 
     def __post_init__(self) -> None:
-        _check_distance(self.distance)
-        if not math.isfinite(self.mean_rss):
-            raise DataError(f"mean_rss must be finite, got {self.mean_rss!r}")
-        if not math.isfinite(self.sd) or self.sd < 0:
-            raise DataError(f"sd must be finite and >= 0, got {self.sd!r}")
-        if self.n < 1:
-            raise DataError(f"n must be >= 1, got {self.n!r}")
-        if self.prr is not None and not 0.0 <= self.prr <= 100.0:  # nan too
-            raise DataError(f"prr must be in [0, 100] percent, got {self.prr!r}")
+        settle(self, positive, "distance")
+        settle(self, real, "mean_rss")
+        settle(self, nonnegative, "sd")
+        object.__setattr__(self, "n", integer("n", self.n, least=1))
+        if self.prr is not None:
+            settle(self, number, "prr")
+            if not 0.0 <= self.prr <= 100.0:  # nan too
+                raise DataError(f"prr must be in [0, 100] percent, got {self.prr!r}")
 
 
 @dataclass(frozen=True)
@@ -139,19 +123,14 @@ class SurveyStats:
     metadata: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.site:
-            raise DataError("site must be a non-empty string")
+        settle(self, text, "site")
         if not self.rows:
             raise DataError("need at least one per-distance row")
-        distances = [r.distance for r in self.rows]
-        if sorted(distances) != distances:
-            object.__setattr__(
-                self, "rows", tuple(sorted(self.rows, key=lambda r: r.distance))
-            )
-            distances = [r.distance for r in self.rows]
-        for prev, cur in zip(distances, distances[1:]):
-            if prev == cur:
-                raise DataError(f"duplicate distance {cur} m in summary rows")
+        rows = tuple(sorted(self.rows, key=attrgetter("distance")))
+        object.__setattr__(self, "rows", rows)
+        for prev, cur in zip(rows, rows[1:]):
+            if prev.distance == cur.distance:
+                raise DataError(f"duplicate distance {cur.distance} m in summary rows")
 
     @property
     def distances(self) -> tuple[float, ...]:
@@ -190,10 +169,7 @@ def survey_stats(survey: RssiSurvey) -> SurveyStats:
     means = np.bincount(group, weights=survey.samples, minlength=distances.size) / n
     dev = survey.samples - means[group]
     var = np.bincount(group, weights=dev * dev, minlength=distances.size) / (n - 1)
-    out = tuple(
-        DistanceStats(distance=d, mean_rss=m, sd=math.sqrt(v), n=k)
-        for d, m, v, k in zip(
-            distances.tolist(), means.tolist(), var.tolist(), n.tolist()
-        )
-    )
-    return SurveyStats(site=survey.site, rows=out, metadata=survey.metadata)
+    # np.sqrt rounds correctly, as math.sqrt does.
+    columns = distances.tolist(), means.tolist(), np.sqrt(var).tolist(), n.tolist()
+    rows = tuple(map(DistanceStats, *columns))
+    return SurveyStats(site=survey.site, rows=rows, metadata=survey.metadata)

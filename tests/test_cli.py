@@ -246,14 +246,31 @@ def test_plan_longwall_oracle_with_extrapolation_warning(capsys, tmp_path):
     )
     closed = 10 ** ((-51.65 + 92.0) / 21.4)
     assert payload["max_range_m"] == pytest.approx(closed, abs=0.01)
-    assert payload["warning"] is not None
-    assert "beyond the surveyed span" in payload["warning"]
     tighter = run_json(
         capsys, "plan", "--model", str(model_path),
         "--sensitivity", "-92", "--z", "1.96",
     )
     assert tighter["max_range_m"] < payload["max_range_m"]
     assert tighter["margin_db"] > 0
+    assert tighter["warning"] is not None
+    assert "beyond the surveyed span" in tighter["warning"]
+
+
+def test_plan_warns_of_extrapolation_only_when_sigma_enters_the_margin(
+    capsys, tmp_path
+):
+    model = str(tmp_path / "lw.json")
+    run(capsys, "sigma-fit", "longwall-face", "--save-model", model)
+    bare = run_json(capsys, "plan", "--model", model, "--sensitivity", "-100")
+    assert bare["max_range_m"] > 20.0  # beyond the surveyed span
+    assert bare["sigma_clamped"] is False and bare["warning"] is None
+    rc, out, _ = run(capsys, "plan", "--model", model, "--sensitivity", "-100")
+    assert rc == 0 and "warning" not in out
+    margin = run_json(
+        capsys, "plan", "--model", model, "--sensitivity", "-100", "--z", "1.96"
+    )
+    assert margin["max_range_m"] > 20.0 and margin["sigma_clamped"] is True
+    assert margin["warning"].startswith("range extrapolates beyond the surveyed span")
 
 
 def test_simulate_writes_survey_and_matches_library(capsys, tmp_path):

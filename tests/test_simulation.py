@@ -338,6 +338,9 @@ def test_growing_a_survey_never_changes_generated_values(
         ("distances", 5, "distances must be a sequence, got 5"),
         ("samples_per_distance", 1.5, "samples_per_distance must be an integer"),
         ("samples_per_distance", "3", "samples_per_distance must be an integer"),
+        ("samples_per_distance", True, "samples_per_distance must be an integer"),
+        ("seed", True, "seed must be an integer"),
+        ("site", 5, "site must be a non-empty string"),
     ],
 )
 def test_spec_refuses_bad_fields_by_name(field, value, message):

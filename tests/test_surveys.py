@@ -26,7 +26,6 @@ from rssifit import (
     simulate_survey,
     survey_stats,
 )
-from rssifit.surveys import _check_distance
 
 
 def test_stats_use_sample_standard_deviation():
@@ -78,6 +77,8 @@ def test_survey_validation():
         RssiSurvey(site="lab", rows=((1.0, ()),))
     with pytest.raises(DataError):
         RssiSurvey(site="lab", rows=((1.0, (float("nan"),)),))
+    with pytest.raises(DataError, match="^site must be a non-empty string$"):
+        RssiSurvey(site=5, rows=((1.0, (-50.0,)),))
 
 
 def test_distance_stats_validation():
@@ -89,6 +90,9 @@ def test_distance_stats_validation():
         DistanceStats(distance=1.0, mean_rss=-50.0, sd=1.0, n=5, prr=101.0)
     with pytest.raises(DataError):
         DistanceStats(distance=-2.0, mean_rss=-50.0, sd=1.0, n=5)
+    for n in (2.5, True):
+        with pytest.raises(DataError, match="^n must be an integer, got "):
+            DistanceStats(distance=1.0, mean_rss=-50.0, sd=1.0, n=n)
 
 
 def test_summary_rows_sorted_and_unique():
@@ -98,6 +102,8 @@ def test_summary_rows_sorted_and_unique():
     assert stats.distances == (1.0, 2.0)
     with pytest.raises(DataError, match="duplicate"):
         SurveyStats(site="s", rows=(a, a))
+    with pytest.raises(DataError, match="^site must be a non-empty string$"):
+        SurveyStats(site=5, rows=(a, b))
 
 
 def test_sample_count_totals():
@@ -167,6 +173,22 @@ def test_survey_stats_matches_per_row_reference(rows):
     assert stats_outcome(survey_stats, survey) == stats_outcome(
         per_row_survey_stats, survey
     )
+
+
+def _check_distance(d: float) -> float:
+    """The distance check the reference class below called, kept verbatim
+    from the library as the reference for the distance field rule."""
+    try:
+        if isinstance(d, (str, bytes, bytearray)):
+            raise TypeError  # float() would read the text as a number
+        d = float(d)
+    except (TypeError, ValueError):
+        raise DataError(f"distance must be a number, got {d!r}") from None
+    except OverflowError:  # an int beyond the float range
+        d = math.inf if d > 0 else -math.inf
+    if not math.isfinite(d) or d <= 0:
+        raise DataError(f"distance must be finite and > 0, got {d!r}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -307,7 +329,10 @@ def test_hot_paths_never_build_the_rows_view(monkeypatch):
     assert survey_stats(load_survey_csv(data)) == expected
 
 
-@pytest.mark.parametrize("distance", ["12", b"12", bytearray(b"12"), None, (1, 2), "x"])
+@pytest.mark.parametrize(
+    "distance",
+    ["12", b"12", bytearray(b"12"), None, (1, 2), "x", True, np.True_, np.array("1")],
+)
 def test_a_distance_that_is_not_a_number_is_refused_by_name(distance):
     message = rf"^distance must be a number, got {re.escape(repr(distance))}$"
     with pytest.raises(DataError, match=message):
