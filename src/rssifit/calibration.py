@@ -4,8 +4,9 @@ Two fits happen in sequence. First the distance trend: mean RSS regressed on
 10*log10(d/d0), giving the path-loss exponent eta and the reference power
 rss_d0. Second the fading spread: a quartic polynomial of distance fitted to
 either the per-distance sample standard deviations or to a residual-derived
-spread proxy (|mean - fitted| / 1.96, the half-width of a 95% interval that
-would make the observed mean its boundary).
+spread proxy ((mean - fitted) / 1.96: signed, its size the half-width of a 95%
+interval that would make the observed mean its boundary). Its quartic can dip
+below zero; ``sigma_at`` refuses such a model where it is negative.
 
 The trend fit supports two intercept modes. 'free' is ordinary least squares
 with both slope and intercept estimated. 'anchored' pins rss_d0 to the

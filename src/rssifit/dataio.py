@@ -25,7 +25,8 @@ Model JSON  strict versioned document (``format_version`` 1). Unknown fields
             are rejected with their path rather than ignored: a misspelled
             field that silently defaulted would corrupt a calibration. One
             table of keys per dataclass (the model, each sigma kind) drives
-            the writer, the unknown-field checks and the reader.
+            the writer, the reader and its errors, which name every field by
+            its key, a value out of range included.
 
 Every number, in a CSV field or a CLI argument, is read by
 :func:`parse_number` as ``np.loadtxt`` reads it, so ``1_0`` and non-ASCII
@@ -329,16 +330,23 @@ def _reject_unknown(obj: dict, allowed: tuple[str, ...], prefix: str) -> None:
             raise FormatError(f"unknown field {prefix + key!r}")
 
 
-def _take_numbers(obj: dict, keys: tuple[str, ...], prefix: str) -> list[float]:
+def _build(kind: type, obj: dict, keys: tuple[str, ...], prefix: str, *rest):
+    """A ``kind`` from the numbers under ``keys`` (then ``rest``); every value
+    refused, as no number or by ``kind``'s own rules, is named by its key."""
+    names = {f.name: f"field {prefix + key!r}" for key, f in zip(keys, fields(kind))}
     numbers = []
-    for key in keys:
+    for key, name in zip(keys, names.values()):
         if key not in obj:
             raise FormatError(f"missing field {prefix + key!r}")
-        try:  # any number here; the model's constructors check its range
-            numbers.append(number(f"field {prefix + key!r}", obj[key]))
+        try:
+            numbers.append(number(name, obj[key]))
         except DataError as exc:
             raise FormatError(str(exc)) from None
-    return numbers
+    try:  # the values are floats, so the only words in a refusal are field names
+        return kind(*numbers, *rest)
+    except DataError as exc:
+        message = re.sub(r"\w+", lambda m: names.get(m[0], m[0]), str(exc))
+        raise FormatError(message) from None
 
 
 def model_to_json(model: ShadowedPathLossModel) -> bytes:
@@ -376,10 +384,10 @@ def model_from_json(data: bytes) -> ShadowedPathLossModel:
         (constant,) = _SIGMA_KEYS[ConstantSigma]
         kind = ConstantSigma if constant in sigma else SigmaPolynomial
         _reject_unknown(sigma, _SIGMA_KEYS[kind], "sigma.")
-        sigma = kind(*_take_numbers(sigma, _SIGMA_KEYS[kind], "sigma."))
+        sigma = _build(kind, sigma, _SIGMA_KEYS[kind], "sigma.")
     elif sigma is not None:
         raise FormatError(
             "field 'sigma' must be an object or null, "
             f"got {type(sigma).__name__}"
         )
-    return ShadowedPathLossModel(*_take_numbers(doc, _MODEL_KEYS, ""), sigma=sigma)
+    return _build(ShadowedPathLossModel, doc, _MODEL_KEYS, "", sigma)

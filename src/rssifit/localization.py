@@ -91,8 +91,7 @@ def estimate_distance(model: ShadowedPathLossModel, rss: float) -> float:
     Exact inverse of the mean-RSS prediction. A non-positive eta has no
     inverse (RSS would not decrease with distance).
     """
-    if model.eta <= 0:
-        raise DataError(f"cannot invert a model with eta <= 0 (eta = {model.eta!r})")
+    positive("eta", model.eta)
     return _invert(model, real("rss", rss))
 
 
@@ -113,20 +112,10 @@ def _no_sigma() -> DataError:
     return DataError("model has no fading model; fit or attach a sigma model first")
 
 
-def _negative_sigma(value: float, d: float) -> NumericalError:
-    return NumericalError(
-        f"fitted sigma is negative ({value:.4g} dB) at d = {d:.4g} m; "
-        "the sigma model is invalid there"
-    )
-
-
 def _sigma_for(model: ShadowedPathLossModel, d: float) -> tuple[float, bool]:
     if model.sigma is None:
         raise _no_sigma()
-    value, clamped = sigma_at(model.sigma, d)
-    if value < 0:
-        raise _negative_sigma(value, d)
-    return value, clamped
+    return sigma_at(model.sigma, d)
 
 
 def _uninvertible_endpoint(
@@ -179,11 +168,10 @@ def max_range(
     vectorised pass, locates the final sign change (sigma need not be
     monotone, so the first bracket from the left would be wrong); bisection
     on the scalar objective then tightens it to +/- 0.01 m. When z > 0 a
-    sigma that is negative at a scanned point is a NumericalError naming
-    the first such point.
+    sigma that is negative at a scanned point is refused by
+    :func:`sigma_curve`, which names the first such point.
     """
-    if model.eta <= 0:
-        raise DataError(f"max_range requires eta > 0, got {model.eta!r}")
+    positive("eta", model.eta)  # the rule and message estimate_distance uses
     outage_z = nonnegative("outage_z", outage_z)
     sens = constants.receiver_sensitivity
     if sens >= model.rss_d0:
@@ -205,12 +193,7 @@ def max_range(
         if outage_z != 0.0:
             if model.sigma is None:
                 raise _no_sigma()
-            spread = sigma_curve(model.sigma, grid)
-            negative = np.flatnonzero(spread < 0)
-            if negative.size:
-                i = negative[0]
-                raise _negative_sigma(float(spread[i]), float(grid[i]))
-            signal -= outage_z * spread
+            signal -= outage_z * sigma_curve(model.sigma, grid)
         ok = np.flatnonzero(signal - sens >= 0.0)
     if not ok.size:
         raise DataError(

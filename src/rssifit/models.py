@@ -23,7 +23,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import DataError, nonnegative, positive, real, settle
+from .errors import DataError, NumericalError, nonnegative, positive, real, settle
 
 
 @dataclass(frozen=True)
@@ -186,13 +186,19 @@ def sigma_at(sigma: SigmaModel, d: float) -> SigmaValue:
 
     For a :class:`SigmaPolynomial` the distance is clamped to the validity
     domain first and the flag reports whether clamping occurred. A
-    :class:`ConstantSigma` never clamps.
+    :class:`ConstantSigma` never clamps. A fitted quartic can dip below zero;
+    a negative value is refused with a :class:`NumericalError` naming d.
     """
     d = positive("d", d)
     if isinstance(sigma, ConstantSigma):
         return SigmaValue(sigma.value, False)
     dc = sigma.d_min if d < sigma.d_min else sigma.d_max if d > sigma.d_max else d
     value = (((sigma.a * dc + sigma.b) * dc + sigma.c) * dc + sigma.e) * dc + sigma.f
+    if value < 0:
+        raise NumericalError(
+            f"fitted sigma is negative ({value:.4g} dB) at d = {d:.4g} m; "
+            "the sigma model is invalid there"
+        )
     return SigmaValue(value, dc != d)
 
 
@@ -208,14 +214,18 @@ def mean_rss_curve(model: ShadowedPathLossModel, d: np.ndarray) -> np.ndarray:
 def sigma_curve(sigma: SigmaModel, d: np.ndarray) -> np.ndarray:
     """:func:`sigma_at` values over an array of distances, all > 0.
 
-    Same clamp and the same Horner arithmetic as the scalar form, so each
-    value equals ``sigma_at(sigma, d[i]).value`` exactly. The distances are
-    not validated and the clamp flags are not returned.
+    Same clamp, Horner arithmetic and refusal of a negative value as the
+    scalar form, so each value equals ``sigma_at(sigma, d[i]).value`` exactly.
+    The distances are not validated and the clamp flags are not returned.
     """
     if isinstance(sigma, ConstantSigma):
         return np.full(d.shape, sigma.value)
     dc = np.clip(d, sigma.d_min, sigma.d_max)
-    return (((sigma.a * dc + sigma.b) * dc + sigma.c) * dc + sigma.e) * dc + sigma.f
+    values = (((sigma.a * dc + sigma.b) * dc + sigma.c) * dc + sigma.e) * dc + sigma.f
+    negative = np.flatnonzero(values < 0)
+    if negative.size:  # sigma_at refuses the first, as a scalar scan would
+        sigma_at(sigma, float(d[negative[0]]))
+    return values
 
 
 def shadow_pdf(psi: float, sigma: float) -> float:

@@ -132,22 +132,14 @@ def simulate_survey(spec: SimulationSpec) -> RssiSurvey:
 
     Each sample is predict_mean_rss(d) + sigma_clamped(d) * z with z from the
     module's documented generator. A model without a sigma model (or with
-    sigma identically zero) yields noiseless samples equal to the mean trend.
+    sigma identically zero) yields noiseless samples equal to the mean trend;
+    one whose sigma is negative at a distance is refused by ``sigma_at``.
     """
-    model = spec.model
+    model, sigma = spec.model, spec.model.sigma
     means, sigmas = [], []
     for d in spec.distances:
         means.append(predict_mean_rss(model, d))
-        if model.sigma is None:
-            sigmas.append(0.0)
-            continue
-        sigma = sigma_at(model.sigma, d).value
-        if sigma < 0:
-            raise DataError(
-                f"sigma model is negative ({sigma:.4g} dB) at "
-                f"d = {d:.4g} m; cannot simulate"
-            )
-        sigmas.append(sigma)
+        sigmas.append(0.0 if sigma is None else sigma_at(sigma, d).value)
     n = spec.samples_per_distance
     samples = np.repeat(np.array(means)[:, None], n, axis=1)
     sigmas = np.array(sigmas)

@@ -211,6 +211,43 @@ def test_localize_negative_sigma_exits_2(capsys, tmp_path):
     assert "sigma" in err
 
 
+def test_a_negative_sigma_is_refused_alike_wherever_an_sd_is_used(capsys, tmp_path):
+    # sigma(d) = 0.1 d^2 - 2 d + 5 is negative for 2.93 < d < 17.07
+    sigma = SigmaPolynomial(a=0, b=0, c=0.1, e=-2.0, f=5.0, d_min=1.0, d_max=20.0)
+    model = tmp_path / "neg.json"
+    model.write_bytes(model_to_json(ShadowedPathLossModel(1.0, -50.0, 2.0, sigma)))
+    at_10 = (
+        "error: fitted sigma is negative (-5 dB) at d = 10 m; "
+        "the sigma model is invalid there\n"
+    )
+    for argv in (
+        ("predict", "--d", "10"),
+        ("localize", "--rss", "-70"),  # d_hat = 10 m
+        ("simulate", "--distances", "10", "--samples", "3"),
+        ("plan", "--z", "1.96", "--sensitivity", "-100"),
+    ):
+        rc, out, err = run(capsys, argv[0], "--model", str(model), *argv[1:])
+        assert rc == 2, err
+        _one_error_line(out, err, "error: fitted sigma is negative (")
+        if argv[0] == "plan":  # which names the first negative point it scans
+            assert err.endswith(" m; the sigma model is invalid there\n")
+        else:
+            assert err == at_10
+    rc, out, err = run(capsys, "plan", "--model", str(model), "--sensitivity", "-100")
+    assert rc == 0 and err == ""  # z = 0 uses no sigma
+
+
+def test_localize_and_plan_refuse_a_rising_trend_alike(capsys, tmp_path):
+    path = tmp_path / "rising.json"
+    path.write_bytes(model_to_json(ShadowedPathLossModel(1.0, -40.0, -1.0)))
+    lines = set()
+    for argv in (("localize", "--rss", "-60"), ("plan", "--sensitivity", "-92")):
+        rc, out, err = run(capsys, argv[0], "--model", str(path), *argv[1:])
+        assert rc == 1 and out == ""
+        lines.add(err)
+    assert lines == {"error: eta must be finite and > 0, got -1.0\n"}
+
+
 def test_localize_reading_outside_invertible_range_exits_1(capsys, tmp_path):
     for sigma in (None, ConstantSigma(2.0)):
         model_path = tmp_path / "m.json"

@@ -327,6 +327,45 @@ def test_model_document_semantic_validation_still_applies():
         model_from_json(json.dumps(doc).encode())
 
 
+_POLY = {"a": 0, "b": 0, "c": 0, "e": 0.1, "f": 1, "d_min_m": 1, "d_max_m": 20}
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"d0_m": 0}, "field 'd0_m' must be finite and > 0, got 0.0"),
+        ({"eta": 1e400}, "field 'eta' must be finite, got inf"),
+        (
+            {"sigma": {"constant_db": -1}},
+            "field 'sigma.constant_db' must be finite and >= 0, got -1.0",
+        ),
+        (
+            {"sigma": dict(_POLY, d_min_m=0)},
+            "field 'sigma.d_min_m' must be finite and > 0, got 0.0",
+        ),
+        (
+            {"sigma": dict(_POLY, d_min_m=20, d_max_m=5)},
+            "field 'sigma.d_max_m' must exceed field 'sigma.d_min_m', "
+            "got [20.0, 5.0]",
+        ),
+        (
+            {"sigma": dict(_POLY, d_max_m=1)},
+            "field 'sigma.d_max_m' must exceed field 'sigma.d_min_m', "
+            "got [1.0, 1.0]",
+        ),
+    ],
+)
+def test_model_document_names_a_value_out_of_range_by_its_key(fields, message):
+    doc = dict(
+        {"format_version": 1, "d0_m": 1, "rss_d0_dbm": -40, "eta": 2, "sigma": None},
+        **fields,
+    )
+    text = json.dumps(doc).encode()
+    with pytest.raises(FormatError) as raised:
+        model_from_json(text)
+    assert str(raised.value) == message
+
+
 def test_site_with_line_break_cannot_be_saved():
     survey = RssiSurvey(site="a\nb", rows=((1.0, (-50.0,)),))
     with pytest.raises(DataError):
@@ -728,7 +767,8 @@ def test_survey_writer_reads_the_arrays_not_the_rows_view(monkeypatch):
 
 # -- the model document against the per-field codec it replaced ---------------
 # The writer and reader as they were before one key table drove them, kept
-# verbatim but for the names as the reference.
+# verbatim as the reference but for the names and for _parent_keyed: a value
+# the model's constructors refuse is now named by its key, as a FormatError.
 
 
 def _parent_reject_unknown(obj: dict, allowed: tuple[str, ...], path: str) -> None:
@@ -747,6 +787,28 @@ def _parent_take_number(obj: dict, key: str, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"field {where!r} must be a number, got {value!r}")
     return float(value)
+
+
+# Each constructor field's key in the model document.
+_PARENT_FIELD_KEYS = {
+    "d0": "d0_m", "rss_d0": "rss_d0_dbm", "eta": "eta", "value": "sigma.constant_db",
+    "a": "sigma.a", "b": "sigma.b", "c": "sigma.c", "e": "sigma.e", "f": "sigma.f",
+    "d_min": "sigma.d_min_m", "d_max": "sigma.d_max_m",
+}
+
+
+def _parent_keyed(kind, **values):
+    """``kind(**values)``; a value it refuses is named by its document key,
+    in a FormatError."""
+    try:
+        return kind(**values)
+    except DataError as exc:
+        head, tail = str(exc).split(", got ")
+        words = (
+            f"field {_PARENT_FIELD_KEYS[word]!r}" if word in _PARENT_FIELD_KEYS else word
+            for word in head.split(" ")
+        )
+        raise FormatError(" ".join(words) + ", got " + tail) from None
 
 
 def parent_model_to_json(model: ShadowedPathLossModel) -> bytes:
@@ -804,8 +866,9 @@ def parent_model_from_json(data: bytes) -> ShadowedPathLossModel:
     elif isinstance(raw_sigma, dict):
         if "constant_db" in raw_sigma:
             _parent_reject_unknown(raw_sigma, ("constant_db",), "sigma")
-            sigma = ConstantSigma(
-                _parent_take_number(raw_sigma, "constant_db", "sigma")
+            sigma = _parent_keyed(
+                ConstantSigma,
+                value=_parent_take_number(raw_sigma, "constant_db", "sigma"),
             )
         else:
             _parent_reject_unknown(
@@ -813,7 +876,8 @@ def parent_model_from_json(data: bytes) -> ShadowedPathLossModel:
                 ("a", "b", "c", "e", "f", "d_min_m", "d_max_m"),
                 "sigma",
             )
-            sigma = SigmaPolynomial(
+            sigma = _parent_keyed(
+                SigmaPolynomial,
                 a=_parent_take_number(raw_sigma, "a", "sigma"),
                 b=_parent_take_number(raw_sigma, "b", "sigma"),
                 c=_parent_take_number(raw_sigma, "c", "sigma"),
@@ -827,7 +891,8 @@ def parent_model_from_json(data: bytes) -> ShadowedPathLossModel:
             "field 'sigma' must be an object or null, "
             f"got {type(raw_sigma).__name__}"
         )
-    return ShadowedPathLossModel(
+    return _parent_keyed(
+        ShadowedPathLossModel,
         d0=_parent_take_number(doc, "d0_m", ""),
         rss_d0=_parent_take_number(doc, "rss_d0_dbm", ""),
         eta=_parent_take_number(doc, "eta", ""),

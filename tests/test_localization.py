@@ -208,13 +208,7 @@ def loop_max_range(m, constants, outage_z):
             raise DataError(
                 "model has no fading model; fit or attach a sigma model first"
             )
-        value, clamped = sigma_at(m.sigma, d)
-        if value < 0:
-            raise NumericalError(
-                f"fitted sigma is negative ({value:.4g} dB) at d = {d:.4g} m; "
-                "the sigma model is invalid there"
-            )
-        return value, clamped
+        return sigma_at(m.sigma, d)  # which refuses a negative sigma
 
     def objective(d):
         mean = predict_mean_rss(m, d)

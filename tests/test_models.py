@@ -12,6 +12,7 @@ from rssifit import (
     DataError,
     FreeSpaceModel,
     LinkConstants,
+    NumericalError,
     ShadowedPathLossModel,
     SigmaPolynomial,
     TwoRayModel,
@@ -96,8 +97,23 @@ def test_curves_match_scalar_evaluations():
     for sigma in (
         SigmaPolynomial(a=2.6e-6, b=0.0062, c=-0.23, e=2.4, f=-1.7, d_min=1.0, d_max=20.0),
         ConstantSigma(3.5),
+        # negative for 2.93 < d < 17.07: both forms refuse its first point
+        SigmaPolynomial(a=0, b=0, c=0.1, e=-2.0, f=5.0, d_min=1.0, d_max=20.0),
     ):
-        assert sigma_curve(sigma, d).tolist() == [sigma_at(sigma, float(x)).value for x in d]
+        scalar = outcome(lambda: [sigma_at(sigma, float(x)).value for x in d])
+        assert outcome(lambda: sigma_curve(sigma, d).tolist()) == scalar
+    assert scalar == (
+        "fitted sigma is negative (-0.1017 dB) at d = 3.001 m; "
+        "the sigma model is invalid there"
+    )
+
+
+def outcome(evaluate):
+    """What ``evaluate()`` returns, or the message of its refusal."""
+    try:
+        return evaluate()
+    except NumericalError as exc:
+        return str(exc)
 
 
 def test_shadow_pdf_matches_gaussian_density():

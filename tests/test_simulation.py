@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rssifit import (
     ConstantSigma,
     DataError,
+    NumericalError,
     RssiSurvey,
     ShadowedPathLossModel,
     SigmaPolynomial,
@@ -203,15 +204,7 @@ def per_row_simulate_survey(spec):
     rows = []
     for i, d in enumerate(spec.distances):
         mean = predict_mean_rss(model, d)
-        if model.sigma is None:
-            sigma = 0.0
-        else:
-            sigma = sigma_at(model.sigma, d).value
-            if sigma < 0:
-                raise DataError(
-                    f"sigma model is negative ({sigma:.4g} dB) at "
-                    f"d = {d:.4g} m; cannot simulate"
-                )
+        sigma = 0.0 if model.sigma is None else sigma_at(model.sigma, d).value
         if sigma == 0.0:
             samples = np.full(spec.samples_per_distance, mean)
         else:
@@ -236,7 +229,7 @@ def bits(survey):
 def outcome(simulate, spec):
     try:
         survey = simulate(spec)
-    except DataError as exc:
+    except NumericalError as exc:  # sigma_at refusing a negative sigma
         return ("error", str(exc))
     return (bits(survey), survey.site, survey.metadata)
 
