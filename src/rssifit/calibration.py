@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DegenerateDataError, InsufficientDataError
-from .errors import integer, one_of, positive
+from .errors import integer, nonnegative, one_of, positive, real, settle
 from .models import ShadowedPathLossModel, SigmaPolynomial, predict_mean_rss
 from .numerics import (
     DenseSystem,
@@ -60,6 +60,12 @@ class GoodnessOfFit:
     dfe: int
     n_obs: int
 
+    def __post_init__(self) -> None:
+        settle(self, real, "r2")
+        settle(self, nonnegative, "rmse", "sse")
+        object.__setattr__(self, "dfe", integer("dfe", self.dfe, least=1))
+        object.__setattr__(self, "n_obs", integer("n_obs", self.n_obs, least=1))
+
     @property
     def rmse_unadjusted(self) -> float:
         return math.sqrt(self.sse / self.n_obs)
@@ -81,8 +87,16 @@ def goodness_of_fit(observed: object, fitted: object, n_params: int) -> Goodness
             f"{n} observations leave no residual degrees of freedom for "
             f"{n_params} parameters"
         )
-    sse = float(np.sum((obs - fit) ** 2))
-    sst = float(np.sum((obs - np.mean(obs)) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        sse = float(np.sum((obs - fit) ** 2))
+        sst = float(np.sum((obs - np.mean(obs)) ** 2))
+    if not (math.isfinite(sse) and math.isfinite(sst)):
+        for name, values in (("observed", obs), ("fitted", fit)):
+            if not np.isfinite(values).all():
+                raise DataError(f"{name} must be finite")
+        raise DataError(
+            "observed and fitted are too large: a sum of squares overflows"
+        )
     r2 = 0.0 if sst == 0.0 else 1.0 - sse / sst
     return GoodnessOfFit(
         r2=r2, rmse=math.sqrt(sse / dfe), sse=sse, dfe=dfe, n_obs=n

@@ -10,11 +10,14 @@ Survey CSV  header ``site,distance_m,rssi_dbm``, one sample per row. A file
             holds one site. Loading pools rows by distance in order of first
             appearance, so a survey whose distances are distinct round-trips
             exactly; one with repeated distance rows reloads in the pooled
-            form. A well-formed file has its two number columns parsed in
-            bulk by ``np.loadtxt``; anything else goes through a row loop
-            over ``csv.reader``, so results, error messages and line numbers
-            are those of the row loop either way. Saving reads the survey's
-            arrays: the site is quoted once and each distance formatted once.
+            form. Three readers share the work. A well-formed file whose
+            numbers are all plain decimals (:func:`_decimals`) is read by a
+            byte-level kernel; a well-formed file with any other number (an
+            exponent, blanks, quotes, CR line ends, 17-digit samples) by
+            ``np.loadtxt``; anything else by a row loop over ``csv.reader``.
+            Results, error messages and line numbers are the row loop's
+            whichever reads the file. Saving reads the survey's arrays: the
+            site is quoted once and each distance formatted once.
 
 Stats CSV   header ``distance_m,mean_dbm,sd_db,prr_pct,n``, one distance per
             row, mirroring the embedded survey tables. ``prr_pct`` may be
@@ -173,13 +176,20 @@ def save_survey_csv(survey: RssiSurvey) -> bytes:
 
 
 def _pooled(site: str, distance, rssi) -> RssiSurvey:
-    """Pool samples by distance in order of first appearance, in file order."""
+    """Pool samples by distance in order of first appearance, in file order.
+
+    Only the first reading of each run of equal distances is ranked, so a
+    file written distance by distance ranks one value per run, not per row.
+    """
+    distance, rssi = np.asarray(distance), np.asarray(rssi)
+    runs = np.flatnonzero(np.concatenate(([True], distance[1:] != distance[:-1])))
     unique, first, inverse = np.unique(
-        distance, return_index=True, return_inverse=True
+        distance[runs], return_index=True, return_inverse=True
     )
     order = np.argsort(first)
     group = np.argsort(order)[inverse.ravel()]  # rank of first appearance
-    samples = np.asarray(rssi)[np.argsort(group, kind="stable")]
+    group = np.repeat(group, np.diff(runs, append=distance.size))
+    samples = rssi[np.argsort(group, kind="stable")]
     rows = np.split(samples, np.cumsum(np.bincount(group))[:-1])
     return RssiSurvey(site=site, rows=zip(unique[order], rows))
 
@@ -222,34 +232,48 @@ def _survey_bulk(data: bytes, text: str) -> RssiSurvey | None:
 
     Returns None whenever it cannot show that the file reads exactly as the
     row loop reads it: another header spelling; a line that does not start
-    with the first row's site field, or whose commas are not that field's
-    plus two (``usecols`` would drop extra fields); a line longer than the
-    csv field limit; anything ``loadtxt`` or :class:`RssiSurvey` refuses.
-    A record running over a line break would hold a quote or a comma of the
-    next line's site field in a number, which neither parser reads.
+    with the first row's site field, or that has a comma more or less than
+    that field and the two number columns; a line longer than the csv field
+    limit; anything ``loadtxt`` or :class:`RssiSurvey` refuses. A record
+    running over a line break would hold a quote or a comma of the next
+    line's site field in a number, which neither parser reads.
+
+    The numbers are read by :func:`_decimals` when every one is a plain
+    decimal, else by ``np.loadtxt``.
     """
     first = _SURVEY_START.match(text)
-    if first is None:
+    limit = csv.field_size_limit()
+    if first is None or first.start(1) - 1 > limit:  # the header line too
         return None
     start, prefix = first.start(1), first.group(1)  # in bytes too: ASCII header
-    lines = text.count("\n", start) + (not text.endswith("\n"))
-    if (
-        text.count("\n" + prefix, start) != lines - 1
-        or text.count(",", start) != lines * (prefix.count(",") + 1)
-        or _longest_line(data) > csv.field_size_limit()
-    ):
-        return None
-    body = io.BytesIO(data)
-    body.seek(start)
-    try:
-        # Lines of bytes, decoded one at a time: an io.StringIO would first
-        # copy the whole text at four bytes per character.
-        distance, rssi = np.loadtxt(
-            body, encoding="utf-8", delimiter=",", comments=None,
-            quotechar='"', usecols=(1, 2), unpack=True, ndmin=2,
-        )
-    except ValueError:
-        return None
+    mark = np.frombuffer(prefix.encode("utf-8"), np.uint8)
+    commas = prefix.count(",") + 1
+    columns = []  # None once a number is not a plain decimal
+    for block in _blocks(data, start):
+        fields = _survey_fields(block, mark, commas, limit)
+        if fields is None:
+            return None
+        if columns is not None:
+            lo, comma, hi = fields
+            pair = _decimals(block, lo, comma), _decimals(block, comma + 1, hi)
+            if pair[0] is None or pair[1] is None:
+                columns = None
+            else:
+                columns.append(pair)
+    if columns is not None:
+        distance, rssi = (np.concatenate(c) for c in zip(*columns))
+    else:
+        body = io.BytesIO(data)
+        body.seek(start)
+        try:
+            # Lines of bytes, decoded one at a time: an io.StringIO would
+            # first copy the whole text at four bytes per character.
+            distance, rssi = np.loadtxt(
+                body, encoding="utf-8", delimiter=",", comments=None,
+                quotechar='"', usecols=(1, 2), unpack=True, ndmin=2,
+            )
+        except ValueError:
+            return None
     site = prefix[:-1]
     if site.startswith('"'):
         site = site[1:-1].replace('""', '"')
@@ -259,12 +283,102 @@ def _survey_bulk(data: bytes, text: str) -> RssiSurvey | None:
         return None
 
 
-def _longest_line(data: bytes) -> int:
-    """Bytes in the longest line, newline excluded; no line has more
-    characters than that."""
-    breaks = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10)
-    edges = np.concatenate(([-1], breaks, [len(data)]))
-    return int(np.max(np.diff(edges))) - 1
+# Bytes per block of a survey body: the kernel's temporaries, a few times a
+# block, stay small next to the file.
+_BLOCK = 1 << 18
+
+
+def _blocks(data: bytes, start: int):
+    """``data[start:]`` as uint8 views of about ``_BLOCK`` bytes, each cut
+    after a line break (a longer line makes a longer block)."""
+    end = len(data)
+    while start < end:
+        cut = end
+        if start + _BLOCK < end:
+            cut = data.rfind(b"\n", start, start + _BLOCK) + 1
+            if not cut:
+                cut = data.find(b"\n", start + _BLOCK) + 1 or end
+        yield np.frombuffer(data, np.uint8, cut - start, start)
+        start = cut
+
+
+def _survey_fields(block, mark, commas: int, limit: int):
+    """The number fields of a block of survey lines: each line's first
+    distance byte, the comma after the distance and the line's end. None
+    unless every line starts with the bytes ``mark`` (the site field and its
+    comma), holds ``commas`` commas and at most ``limit`` bytes."""
+    breaks = np.flatnonzero((block == 44) | (block == 10))
+    kinds = block[breaks]
+    if block[-1] != 10:  # the file's last line, with no line break
+        breaks, kinds = np.append(breaks, block.size), np.append(kinds, 10)
+    if breaks.size % (commas + 1):
+        return None
+    # Sorted, they must run as lines do: ``commas`` commas, a line break.
+    breaks = breaks.reshape(-1, commas + 1)
+    if (kinds.reshape(breaks.shape) != np.array([44] * commas + [10], np.uint8)).any():
+        return None
+    ends = breaks[:, -1]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    size = ends - starts
+    if size.min() < mark.size or size.max() > limit:
+        return None
+    for j, byte in enumerate(mark.tolist()):
+        if (block[starts + j] != byte).any():
+            return None
+    return starts + mark.size, breaks[:, -2], ends
+
+
+# Exact powers of ten, from Python ints: 10**k for k <= 22 is a double.
+_POWERS = np.array([float(10**k) for k in range(18)])
+
+
+def _decimals(block, lo, hi):
+    """The numbers in ``block[lo:hi]``, each ``[+-]digits[.digits]`` of at
+    most 18 bytes whose digits read as an integer below 2**53; None when any
+    field is not.
+
+    Such a field is m / 10**k with m and 10**k exact doubles, so one division
+    rounds it correctly, as ``np.loadtxt``'s ``strtod`` does (Clinger, *How
+    to Read Floating Point Numbers Accurately*, PLDI 1990).
+    """
+    size = hi - lo
+    if size.min() < 1 or size.max() > 18:
+        return None
+    sign = block[lo]
+    lo = lo + ((sign == 43) | (sign == 45))
+    size = hi - lo
+    if size.min() < 1:
+        return None
+    # Horner's rule over the fields right-aligned, column by column: column
+    # j holds the byte ``wide - j`` before each field's end, or, ahead of a
+    # shorter field, a zero (its index, at worst negative, is read and
+    # discarded). The point's column leaves the mantissa as it is.
+    wide = int(size.max())
+    mantissa = np.zeros(size.size)
+    scale = None  # the fraction digits, once any field has a point
+    for j in range(wide):
+        digit = block[hi - (wide - j)] - np.uint8(48)  # below "0" wraps
+        if size.min() < wide - j:
+            digit[size < wide - j] = 0
+        point = digit == 254  # "."
+        if not point.any():
+            if digit.max() > 9:
+                return None
+            mantissa = mantissa * 10.0 + digit
+            continue
+        if (
+            ((digit > 9) & ~point).any()
+            or j == wide - 1  # no digit after the point
+            or (point & (size == wide - j)).any()  # none before it
+            or scale is not None and (point & (scale > 0)).any()  # two points
+        ):
+            return None
+        scale = np.where(point, wide - 1 - j, 0 if scale is None else scale)
+        mantissa = np.where(point, mantissa, mantissa * 10.0 + digit)
+    if mantissa.max() >= 2.0**53:
+        return None
+    value = mantissa if scale is None else mantissa / _POWERS[scale]
+    return np.where(sign == 45, -value, value)
 
 
 def load_survey_csv(data: bytes) -> RssiSurvey:

@@ -6,9 +6,10 @@ failures of the math itself (singular systems, degenerate regressions).
 The CLI maps them to exit codes 1 and 2 respectively.
 
 Every public constructor and entry point checks its scalars with the field
-rules below. Each returns the canonical ``float``, ``int`` or ``str``, or
-raises :class:`DataError` naming the field. A number is what ``float`` takes
-but text and bools: Python and numpy ints and floats, 0-d arrays of them.
+rules below. Each returns the canonical ``float``, ``int``, ``bool`` or
+``str``, or raises :class:`DataError` naming the field. A number is what
+``float`` takes but text and bools: Python and numpy ints and floats, 0-d
+arrays of them.
 """
 
 import math
@@ -114,6 +115,15 @@ def integer(name: str, value: object, least: int | None = None) -> int:
     if least is not None and value < least:
         raise DataError(f"{name} must be >= {least}, got {value!r}")
     return value
+
+
+def flag(name: str, value: object) -> bool:
+    """A bool: Python's, or numpy's with no dimensions."""
+    if value.__class__ is bool:
+        return value
+    if getattr(getattr(value, "dtype", None), "kind", "") != "b" or value.ndim:
+        raise DataError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 def text(name: str, value: object) -> str:

@@ -26,7 +26,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DataError, NumericalError, nonnegative, positive, probability
-from .errors import real, settle
+from .errors import flag, real, settle
 from .models import (
     LinkConstants,
     ShadowedPathLossModel,
@@ -62,6 +62,8 @@ class LocalizationEstimate:
     def __post_init__(self) -> None:
         settle(self, real, "d_hat", "d_lo", "d_hi", "sigma_used")
         settle(self, probability, "level")
+        if self.clamped.__class__ is not bool:  # a bool skips the rule's call
+            object.__setattr__(self, "clamped", flag("clamped", self.clamped))
         if not 0.0 < self.d_lo <= self.d_hat <= self.d_hi:
             raise DataError(
                 "interval must satisfy 0 < d_lo <= d_hat <= d_hi, got "
@@ -83,6 +85,8 @@ class LinkPlan:
         settle(self, positive, "max_range")
         settle(self, nonnegative, "margin_db", "outage_z")
         settle(self, real, "sensitivity")
+        if self.clamped.__class__ is not bool:  # a bool skips the rule's call
+            object.__setattr__(self, "clamped", flag("clamped", self.clamped))
 
 
 def estimate_distance(model: ShadowedPathLossModel, rss: float) -> float:

@@ -5,9 +5,9 @@ One property drives each such callable in ``rssifit.__all__`` with valid
 arguments but one scalar replaced by a value from a pool of junk and of
 near-numbers: numeric strings, bools, None, nan and the infinities, numpy
 scalars and 0-d arrays, tuples, bare objects. The call must either succeed,
-with every float, int and str field of what it returns holding exactly that
-type, or raise a ``RssifitError`` whose message names the field. Every model
-it returns, at any depth, must survive the JSON model document.
+with every float, int, bool and str field of what it returns holding exactly
+that type, or raise a ``RssifitError`` whose message names the field. Every
+model it returns, at any depth, must survive the JSON model document.
 """
 
 import dataclasses
@@ -80,12 +80,16 @@ CALLS = {
     "LocalizationEstimate": (
         {"d_hat": 10.0, "d_lo": 5.0, "d_hi": 20.0, "level": 0.95,
          "sigma_used": 3.0, "clamped": False},
-        ("d_hat", "d_lo", "d_hi", "level", "sigma_used"),
+        ("d_hat", "d_lo", "d_hi", "level", "sigma_used", "clamped"),
     ),
     "LinkPlan": (
         {"max_range": 50.0, "margin_db": 1.0, "outage_z": 1.0,
          "sensitivity": -92.0, "clamped": False},
-        ("max_range", "margin_db", "outage_z", "sensitivity"),
+        ("max_range", "margin_db", "outage_z", "sensitivity", "clamped"),
+    ),
+    "GoodnessOfFit": (
+        {"r2": 0.5, "rmse": 1.0, "sse": 2.0, "dfe": 2, "n_obs": 3},
+        ("r2", "rmse", "sse", "dfe", "n_obs"),
     ),
     "path_loss_db": ({"pt_dbm": 0.0, "pr_dbm": -60.0}, ("pt_dbm", "pr_dbm")),
     "rss_from_path_loss": ({"pt_dbm": 0.0, "pl_db": 60.0}, ("pt_dbm", "pl_db")),
@@ -132,7 +136,7 @@ NOT_DRIVEN = {
     "DegenerateDataError", "FormatError", "InsufficientDataError",
     "NumericalError", "RssifitError", "SingularMatrixError",
     # records the library fills in from values it has computed
-    "DatasetRecord", "FitReport", "GoodnessOfFit", "LineFit", "PolynomialFit",
+    "DatasetRecord", "FitReport", "LineFit", "PolynomialFit",
     "PrrCorrelations", "PublishedFit", "SigmaFitReport", "SigmaValue",
     "SolveDiagnostics",
     # arrays, documents and objects only; no scalar argument
@@ -235,6 +239,11 @@ def test_every_public_name_is_driven_or_set_aside():
 @example(case=("ShadowedPathLossModel", "sigma"), junk=5)
 @example(case=("ShadowedPathLossModel", "d0"), junk="1")
 @example(case=("ShadowedPathLossModel", "eta"), junk=True)
+@example(case=("GoodnessOfFit", "sse"), junk=-1)
+@example(case=("GoodnessOfFit", "dfe"), junk=2.5)
+@example(case=("LocalizationEstimate", "clamped"), junk="no")
+@example(case=("LinkPlan", "clamped"), junk=1)
+@example(case=("LinkPlan", "clamped"), junk=np.True_)
 @example(case=("DistanceStats", "n"), junk=2.5)
 @example(case=("DistanceStats", "n"), junk=True)
 @example(case=("FreeSpaceModel", "c_t"), junk=True)

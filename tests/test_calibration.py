@@ -253,6 +253,19 @@ def test_goodness_of_fit_needs_residual_degrees_of_freedom():
         goodness_of_fit([1.0, 2.0], [1.0, 2.0], n_params=2)
 
 
+@pytest.mark.parametrize(
+    "observed, fitted, message",
+    [
+        ([1.0, math.inf, 3.0], [1.0, 2.0, 3.0], "observed must be finite"),
+        ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0], "fitted must be finite"),
+        ([1e200, -1e200, 0.0], [0.0, 0.0, 0.0], "a sum of squares overflows"),
+    ],
+)
+def test_goodness_of_fit_names_the_argument_it_cannot_sum(observed, fitted, message):
+    with pytest.raises(DataError, match=message):
+        goodness_of_fit(observed, fitted, n_params=1)
+
+
 def test_rmse_uses_degrees_of_freedom_convention(longwall):
     # 20 rows, 5 quartic coefficients: divisor 15, not 20
     report = fit_sigma_polynomial(longwall)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -585,6 +586,15 @@ def test_well_formed_surveys_never_fall_back_to_the_row_loop(monkeypatch):
     monkeypatch.setattr(dataio, "_survey_rows", row_loop)
     for text, survey in zip(files, expected):
         assert load_survey_csv(text.encode()) == survey
+
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("plain decimals went to np.loadtxt")
+
+    # Padded numbers and CR line ends are np.loadtxt's; plain decimals,
+    # under a bare or a quoted site, are the kernel's alone.
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    for k in (0, 3):
+        assert load_survey_csv(files[k].encode()) == expected[k]
     first_row = tuple(float(-40 - k % 53) for k in range(0, 10_000, 20))
     assert expected[0].rows[0] == (1.0, first_row)
     assert expected[1] == expected[0]
@@ -603,6 +613,12 @@ def test_survey_fields_over_the_csv_limit_are_format_errors():
             reference_load_survey_csv(data)
         with pytest.raises(FormatError, match="line 3: .*field limit"):
             load_survey_csv(data)
+    old = csv.field_size_limit(9)  # "distance_m" is over it; "A,2,-60" is not
+    try:
+        with pytest.raises(FormatError, match="line 1: .*field limit"):
+            load_survey_csv((header + "A,2,-60\n").encode())
+    finally:
+        csv.field_size_limit(old)
 
 
 def test_undecodable_bytes_and_stray_carriage_returns_are_format_errors():
@@ -673,6 +689,87 @@ def test_spellings_only_python_reads_are_rejected_by_name():
     stats = b"distance_m,mean_dbm,sd_db,prr_pct,n\n1,-50,1.5,,2_0\n"
     with pytest.raises(FormatError, match="column 'n': not an integer: '2_0'"):
         load_stats_csv(stats)
+
+
+# -- the plain-decimal kernel against np.loadtxt -----------------------------
+# The kernel reads ``[+-]digits[.digits]`` of at most 18 bytes with digits
+# below 2**53 and refuses anything else; what it reads, it reads to
+# np.loadtxt's bits.
+_PLAIN = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?", re.ASCII)
+
+
+def _plain(field: str) -> bool:
+    return bool(
+        _PLAIN.fullmatch(field) and len(field) <= 18
+        and int(field.lstrip("+-").replace(".", "")) < 2**53
+    )
+
+
+def _kernel(fields) -> list[str] | None:
+    """``dataio._decimals`` over ``fields``, one to a line."""
+    block = np.frombuffer("".join(f + "\n" for f in fields).encode(), np.uint8)
+    hi = np.flatnonzero(block == 10)
+    values = dataio._decimals(block, np.concatenate(([0], hi[:-1] + 1)), hi)
+    return None if values is None else list(map(repr, values.tolist()))
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=19)
+kernel_fields = st.one_of(
+    st.builds(
+        lambda sign, whole, fraction: sign + whole + fraction,
+        st.sampled_from(("", "", "+", "-")),
+        _DIGITS,
+        st.one_of(st.just(""), _DIGITS.map(".".__add__)),
+    ),
+    st.sampled_from((
+        "-0", "+0.0", "0", "-0.000", "007", "-007.50", "9007199254740991",
+        "9007199254740992", "-9007199254740993", "900719925474099.1",
+        "0.000000000000001", "0.0000000000000001", "-0.000000000000001",
+        "12345678901234567", "123456789012345678", "-1234567890123456.",
+        "1.", ".5", "-", "+", "", "1.2.3", "1e3", "1E-2", "--1", "+-1", "1-",
+        " 1", "1 ", "\xa01", "\u0661", "1_0", "0x1f", "nan", "inf", "-.5",
+    )),
+    st.text("0123456789+-.e ", max_size=20),
+)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(kernel_fields, min_size=1, max_size=6))
+def test_kernel_reads_plain_decimals_as_loadtxt_and_refuses_the_rest(fields):
+    got = _kernel(fields)
+    if all(map(_plain, fields)):
+        assert got == [_loadtxt_number(f) for f in fields]
+    else:
+        assert got is None
+
+
+@pytest.mark.parametrize("defect", (
+    "none", "letter", "exponent", "other-site", "long", "short", "merged",
+    "zero-distance",
+))
+def test_multi_block_surveys_read_as_the_row_loop(monkeypatch, defect):
+    # Blocks of 40 bytes hold two lines of about 19 bytes, and the 48-byte
+    # line makes a longer block of its own; the last line has no line break.
+    monkeypatch.setattr(dataio, "_BLOCK", 40)
+    site = '"a, ""b"""'
+    rows = [f"{site},{1 + k % 7}.5,{-40 - k % 53}" for k in range(60)]
+    rows[21] = f"{site},0001234567890.125,-1234567890123.25"
+    rows[-1] = {
+        "none": rows[-1],
+        "letter": f"{site},2,-5x",
+        "exponent": f"{site},2,-5e1",
+        "other-site": "A,2,-50",
+        "long": f"{site},2,-50,",
+        "short": f"{site},2",
+        "merged": f"{site},2,-50,{site},3\n7",  # two lines' commas in all
+        "zero-distance": f"{site},0.0,-50",
+    }[defect]
+    data = ("site,distance_m,rssi_dbm\n" + "\n".join(rows)).encode()
+    expected = _outcome(reference_load_survey_csv, data)
+    if defect == "none":  # the kernel reads it all
+        monkeypatch.setattr(np, "loadtxt", None)
+        monkeypatch.setattr(dataio, "_survey_rows", None)
+    assert _outcome(load_survey_csv, data) == expected
 
 
 # -- the survey writer against the per-sample writer it replaced --------------
