@@ -29,6 +29,8 @@ from .models import ShadowedPathLossModel, SigmaPolynomial, predict_mean_rss
 from .numerics import (
     DenseSystem,
     SolveDiagnostics,
+    _pair,
+    _squares,
     ols_line,
     polyfit_quartic,
     polyval,
@@ -73,13 +75,7 @@ class GoodnessOfFit:
 
 def goodness_of_fit(observed: object, fitted: object, n_params: int) -> GoodnessOfFit:
     """Compute r^2 and dfe-adjusted RMSE for a fitted curve."""
-    obs = np.asarray(observed, dtype=np.float64)
-    fit = np.asarray(fitted, dtype=np.float64)
-    if obs.shape != fit.shape or obs.ndim != 1:
-        raise DataError(
-            f"observed and fitted must be equal-length 1-D, got {obs.shape} "
-            f"and {fit.shape}"
-        )
+    obs, fit = _pair(observed, fitted, "observed and fitted")
     n = obs.size
     dfe = n - integer("n_params", n_params, least=0)
     if dfe < 1:
@@ -87,17 +83,7 @@ def goodness_of_fit(observed: object, fitted: object, n_params: int) -> Goodness
             f"{n} observations leave no residual degrees of freedom for "
             f"{n_params} parameters"
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        sse = float(np.sum((obs - fit) ** 2))
-        sst = float(np.sum((obs - np.mean(obs)) ** 2))
-    if not (math.isfinite(sse) and math.isfinite(sst)):
-        for name, values in (("observed", obs), ("fitted", fit)):
-            if not np.isfinite(values).all():
-                raise DataError(f"{name} must be finite")
-        raise DataError(
-            "observed and fitted are too large: a sum of squares overflows"
-        )
-    r2 = 0.0 if sst == 0.0 else 1.0 - sse / sst
+    r2, sse = _squares(obs, fit)
     return GoodnessOfFit(
         r2=r2, rmse=math.sqrt(sse / dfe), sse=sse, dfe=dfe, n_obs=n
     )

@@ -116,12 +116,6 @@ def _no_sigma() -> DataError:
     return DataError("model has no fading model; fit or attach a sigma model first")
 
 
-def _sigma_for(model: ShadowedPathLossModel, d: float) -> tuple[float, bool]:
-    if model.sigma is None:
-        raise _no_sigma()
-    return sigma_at(model.sigma, d)
-
-
 def _uninvertible_endpoint(
     name: str, sign: str, rss: float, level: float, shifted: float
 ) -> DataError:
@@ -145,7 +139,9 @@ def confidence_interval(
     level = probability("level", level)
     d_hat = estimate_distance(model, rss)
     rss = float(rss)  # estimate_distance has checked it
-    sigma, clamped = _sigma_for(model, d_hat)
+    if model.sigma is None:
+        raise _no_sigma()
+    sigma, clamped = sigma_at(model.sigma, d_hat)
     z = _NORMAL.inv_cdf((1.0 + level) / 2.0)
     shifted = rss + z * sigma
     try:
@@ -184,19 +180,21 @@ def max_range(
             "dBm; the link has no coverage even at the reference distance"
         )
 
-    def objective(d: float) -> float:
-        """predict(d) - z*sigma(d) - sensitivity."""
+    if outage_z != 0.0 and model.sigma is None:
+        raise _no_sigma()
+
+    def margin(d: float) -> tuple[float, bool]:
+        """(z*sigma(d), whether sigma was clamped); no sigma enters at z = 0."""
         if outage_z == 0.0:
-            return predict_mean_rss(model, d) - sens
-        return predict_mean_rss(model, d) - outage_z * _sigma_for(model, d)[0] - sens
+            return 0.0, False
+        sigma, clamped = sigma_at(model.sigma, d)
+        return outage_z * sigma, clamped
 
     grid = np.geomspace(model.d0, RANGE_SEARCH_MAX, 4097)
     # Python float arithmetic overflows to inf silently; so does this scan.
     with np.errstate(over="ignore", invalid="ignore"):
         signal = mean_rss_curve(model, grid)
         if outage_z != 0.0:
-            if model.sigma is None:
-                raise _no_sigma()
             signal -= outage_z * sigma_curve(model.sigma, grid)
         ok = np.flatnonzero(signal - sens >= 0.0)
     if not ok.size:
@@ -215,14 +213,9 @@ def max_range(
     lo, hi = float(grid[ok[-1]]), float(grid[ok[-1] + 1])
     while hi - lo > 0.5 * RANGE_TOLERANCE:
         mid = 0.5 * (lo + hi)
-        if objective(mid) >= 0.0:
+        if predict_mean_rss(model, mid) - margin(mid)[0] - sens >= 0.0:
             lo = mid
         else:
             hi = mid
-    solution = lo
-    if outage_z == 0.0:  # the scan has refused z > 0 without a sigma model
-        margin, clamped = 0.0, False
-    else:
-        sigma, clamped = _sigma_for(model, solution)
-        margin = outage_z * sigma
-    return LinkPlan(solution, margin, outage_z, sens, clamped)
+    margin_db, clamped = margin(lo)
+    return LinkPlan(lo, margin_db, outage_z, sens, clamped)

@@ -17,12 +17,17 @@ refinement was tried and removed: one refinement step made the stationarity
 sums slightly worse (residual rounding dominates at this scale). The QR path
 exists for condition estimates beyond 1e12, where elimination through the
 normal equations can no longer be trusted; a rescaled fit in d/d_max covers
-surveys whose span pushes the moments there.
+surveys whose span pushes the moments there. A DenseSystem estimates its
+condition once; the QR fallback and the refit both read that estimate. A
+span float64 cannot carry (raw moments that overflow, or d_max^k that
+underflows when the refit is undone) is refused by name.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +80,11 @@ class DenseSystem:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def condition_estimate(self) -> float:
+        """2-norm condition number of ``matrix``, computed on first use."""
+        return float(np.linalg.cond(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -142,33 +152,46 @@ def orthogonal_solve(system: DenseSystem) -> np.ndarray:
     return _back_substitute(r, q.T @ system.rhs)
 
 
-def solve_dense(
-    system: DenseSystem, *, cond: float | None = None
-) -> tuple[np.ndarray, SolveDiagnostics]:
+def solve_dense(system: DenseSystem) -> tuple[np.ndarray, SolveDiagnostics]:
     """Solve A x = b, choosing elimination or QR by condition estimate.
 
-    Elimination with partial pivoting is the primary path. When the condition
-    estimate exceeds :data:`CONDITION_FALLBACK` the solve is redone through
+    Elimination with partial pivoting is the primary path. When the system's
+    :attr:`~DenseSystem.condition_estimate` exceeds
+    :data:`CONDITION_FALLBACK` (or is not finite) the solve is redone through
     QR and the diagnostics say so. An exactly singular matrix raises
-    :class:`SingularMatrixError` from either path. ``cond`` is the
-    condition estimate of ``system.matrix`` when the caller already has it;
-    otherwise it is computed here.
+    :class:`SingularMatrixError` from either path.
     """
-    if cond is None:
-        cond = float(np.linalg.cond(system.matrix))
-    if not np.isfinite(cond) or cond > CONDITION_FALLBACK:
+    cond = system.condition_estimate
+    if not cond <= CONDITION_FALLBACK:
         x = orthogonal_solve(system)
-        return x, SolveDiagnostics(
-            pivot_magnitudes=(),
-            condition_estimate=cond,
-            used_orthogonal=True,
-        )
+        return x, SolveDiagnostics((), cond, used_orthogonal=True)
     x, pivots = _eliminate(system.matrix.copy(), system.rhs.copy())
-    return x, SolveDiagnostics(
-        pivot_magnitudes=pivots,
-        condition_estimate=cond,
-        used_orthogonal=False,
-    )
+    return x, SolveDiagnostics(pivots, cond)
+
+
+def _pair(a: object, b: object, names: str) -> tuple[np.ndarray, np.ndarray]:
+    """Both arguments as float64 arrays, refused unless equal-length 1-D."""
+    av, bv = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if av.shape != bv.shape or av.ndim != 1:
+        raise DataError(
+            f"{names} must be equal-length 1-D, got {av.shape} and {bv.shape}"
+        )
+    return av, bv
+
+
+def _squares(observed: np.ndarray, fitted: np.ndarray) -> tuple[float, float]:
+    """(r^2, SSE), r^2 being 0 for a constant; refuses what it cannot sum."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        sse = float(np.sum((observed - fitted) ** 2))
+        sst = float(np.sum((observed - np.mean(observed)) ** 2))
+    if not (math.isfinite(sse) and math.isfinite(sst)):
+        for name, values in (("observed", observed), ("fitted", fitted)):
+            if not np.isfinite(values).all():
+                raise DataError(f"{name} must be finite")
+        raise DataError(
+            "observed and fitted are too large: a sum of squares overflows"
+        )
+    return (0.0 if sst == 0.0 else 1.0 - sse / sst), sse
 
 
 @dataclass(frozen=True)
@@ -187,32 +210,21 @@ def ols_line(x: object, y: object) -> LineFit:
     r^2 is defined as 0 when the observations have zero variance (a constant
     y is explained perfectly by its mean, and the usual ratio is 0/0).
     """
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if xv.shape != yv.shape or xv.ndim != 1:
-        raise DataError(
-            f"x and y must be equal-length 1-D, got {xv.shape} and {yv.shape}"
-        )
+    xv, yv = _pair(x, y, "x and y")
     n = xv.size
     if n < 2:
         raise InsufficientDataError(f"need at least 2 points for a line, got {n}")
     if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
         raise DataError("x and y must be finite")
     if np.all(xv == xv[0]):
-        raise DegenerateDataError(
-            "all x values are identical; slope is undefined"
-        )
+        raise DegenerateDataError("all x values are identical; slope is undefined")
     sx = float(np.sum(xv))
     sxx = float(np.sum(xv * xv))
     sy = float(np.sum(yv))
     sxy = float(np.sum(xv * yv))
-    system = DenseSystem([[sxx, sx], [sx, float(n)]], [sxy, sy])
-    coeffs, diag = solve_dense(system)
+    coeffs, diag = solve_dense(DenseSystem([[sxx, sx], [sx, float(n)]], [sxy, sy]))
     slope, intercept = float(coeffs[0]), float(coeffs[1])
-    fitted = slope * xv + intercept
-    sse = float(np.sum((yv - fitted) ** 2))
-    sst = float(np.sum((yv - np.mean(yv)) ** 2))
-    r2 = 0.0 if sst == 0.0 else 1.0 - sse / sst
+    r2, _ = _squares(yv, slope * xv + intercept)
     return LineFit(slope=slope, intercept=intercept, r2=r2, diagnostics=diag)
 
 
@@ -224,15 +236,25 @@ class PolynomialFit:
     diagnostics: SolveDiagnostics = field(repr=False)
 
 
+def _out_of_range(d: np.ndarray, reason: str) -> DataError:
+    span = f"distances {d.min():g} to {d.max():g} are out of range"
+    return DataError(f"{span} for a polynomial fit in float64: {reason}")
+
+
 def _moment_system(d: np.ndarray, y: np.ndarray, degree: int) -> DenseSystem:
     """Normal equations for a degree-``degree`` polynomial in raw powers.
 
     Matrix entry (i, j) is sum(d^(2*degree - i - j)); rhs entry i is
     sum(y * d^(degree - i)). For the quartic that means moments d^8 .. d^0.
     """
-    powers = d[:, np.newaxis] ** np.arange(degree, -1, -1)
-    matrix = powers.T @ powers
-    rhs = powers.T @ y
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        powers = d[:, np.newaxis] ** np.arange(degree, -1, -1)
+        matrix = powers.T @ powers
+        rhs = powers.T @ y
+    # No entry exceeds n + matrix[0, 0] = n + sum(d^(2*degree)) in size, so a
+    # finite corner means a finite matrix.
+    if not math.isfinite(matrix[0, 0]):
+        raise _out_of_range(d, f"the moment sums of d^{2 * degree} overflow")
     return DenseSystem(matrix, rhs)
 
 
@@ -240,19 +262,21 @@ def _fit_moments(
     d: np.ndarray, y: np.ndarray, degree: int
 ) -> tuple[tuple[float, ...], SolveDiagnostics]:
     system = _moment_system(d, y, degree)
-    cond = float(np.linalg.cond(system.matrix))
-    if np.isfinite(cond) and cond <= CONDITION_FALLBACK:
-        coeffs, diag = solve_dense(system, cond=cond)
+    if system.condition_estimate <= CONDITION_FALLBACK:
+        coeffs, diag = solve_dense(system)
         return tuple(float(c) for c in coeffs), diag
     # Raw moments are numerically hopeless here. Refit in s = d/d_max, where
     # all powers stay within [0, 1], then undo the scaling per coefficient:
     # y = sum a_k d^k = sum (a_k d_max^k) s^k.
     d_max = float(np.max(np.abs(d)))
-    scaled_system = _moment_system(d / d_max, y, degree)
-    scaled_coeffs, diag = solve_dense(scaled_system)
-    unscale = d_max ** np.arange(degree, -1, -1, dtype=np.float64)
-    coeffs = tuple(float(c) for c in scaled_coeffs / unscale)
-    return coeffs, replace(diag, condition_estimate=cond, scaled=True)
+    scaled_coeffs, diag = solve_dense(_moment_system(d / d_max, y, degree))
+    # Near 0, d_max^k underflows and a quotient overflows: refused below.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        coeffs = scaled_coeffs / d_max ** np.arange(degree, -1, -1.0)
+    if not np.isfinite(coeffs).all():
+        raise _out_of_range(d, "undoing the d/d_max scaling overflows")
+    diag = replace(diag, condition_estimate=system.condition_estimate, scaled=True)
+    return tuple(float(c) for c in coeffs), diag
 
 
 def polyfit_quartic(d: object, y: object) -> PolynomialFit:
@@ -262,12 +286,7 @@ def polyfit_quartic(d: object, y: object) -> PolynomialFit:
     distinct d values: 5 would interpolate exactly and leave no residual
     degrees of freedom.
     """
-    dv = np.asarray(d, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if dv.shape != yv.shape or dv.ndim != 1:
-        raise DataError(
-            f"d and y must be equal-length 1-D, got {dv.shape} and {yv.shape}"
-        )
+    dv, yv = _pair(d, y, "d and y")
     if not (np.all(np.isfinite(dv)) and np.all(np.isfinite(yv))):
         raise DataError("d and y must be finite")
     n_distinct = np.unique(dv).size

@@ -146,6 +146,7 @@ def simulate_survey(spec: SimulationSpec) -> RssiSurvey:
     # Rows with sigma == 0 draw nothing and stay exactly at the mean.
     noisy = np.flatnonzero(sigmas)
     if noisy.size:
-        samples[noisy] += sigmas[noisy, None] * _normals(spec.seed, noisy, n)
+        with np.errstate(over="ignore"):  # RssiSurvey refuses a non-finite sample
+            samples[noisy] += sigmas[noisy, None] * _normals(spec.seed, noisy, n)
     metadata = (("generator", "splitmix64-boxmuller-v1"), ("seed", str(spec.seed)))
     return RssiSurvey(spec.site, zip(spec.distances, samples), metadata)

@@ -6,6 +6,7 @@ import json
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -726,3 +727,57 @@ def test_both_distance_spellings_word_the_size_limit_alike(capsys, tmp_path):
         "1000000000000000000 samples at each of 3 points are more than an array "
         "holds\n"
     ] * 2
+
+
+def _stats_file(path, distances, means):
+    rows = "".join(
+        f"{d!r},{m!r},{1.0 + i / 10!r},,10\n"
+        for i, (d, m) in enumerate(zip(distances, means))
+    )
+    path.write_text("distance_m,mean_dbm,sd_db,prr_pct,n\n" + rows)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["means", "far", "near", "loud"])
+def test_overflow_crosses_as_one_error_line_without_warnings(capsys, tmp_path, case):
+    ramp = [-50.0 - i for i in range(8)]
+    argv, line = {
+        # x = 10 log10(d) is tame; the squared residuals of the means are not
+        "means": (
+            ("fit", _stats_file(
+                tmp_path / "means.csv", range(1, 9),
+                [(-1) ** i * 1e200 for i in range(8)],
+            )),
+            "observed and fitted are too large: a sum of squares overflows",
+        ),
+        # d^8 reaches 1e312, so the raw moment sums overflow
+        "far": (
+            ("sigma-fit", _stats_file(
+                tmp_path / "far.csv", np.geomspace(1e37, 1e39, 8).tolist(), ramp
+            )),
+            "distances 1e+37 to 1e+39 are out of range for a polynomial fit in "
+            "float64: the moment sums of d^8 overflow",
+        ),
+        # the refit in d/d_max is fine, but d_max^k underflows to 0 for k >= 2
+        "near": (
+            ("sigma-fit", _stats_file(
+                tmp_path / "near.csv", np.linspace(1e-300, 6e-300, 8).tolist(), ramp
+            )),
+            "distances 1e-300 to 6e-300 are out of range for a polynomial fit in "
+            "float64: undoing the d/d_max scaling overflows",
+        ),
+        # sigma * z overflows; RssiSurvey refuses the infinite sample
+        "loud": (
+            (
+                "simulate", "--model", _model_file(tmp_path, ConstantSigma(1e308)),
+                "--distances", "1:3", "--samples", "4",
+            ),
+            "non-finite RSSI sample at distance 1.0 m",
+        ),
+    }[case]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert err == f"error: {line}\n" and out == ""
+    assert [str(w.message) for w in caught] == []

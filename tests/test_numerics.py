@@ -214,15 +214,19 @@ def test_polyval_horner_matches_numpy():
 
 
 def test_quartic_fit_estimates_the_raw_condition_once(monkeypatch):
-    d = np.arange(1.0, 21.0)
-    y = 0.01 * d**2 + 1.0
-    expected = polyfit_quartic(d, y).diagnostics
-    calls = []
+    # One estimate per DenseSystem: the raw moments alone (1..20 m), or the
+    # raw and the d/d_max moments of a refit (100..2000 m), and the raw
+    # estimate is the one reported either way.
     cond = np.linalg.cond
-    monkeypatch.setattr(
-        np.linalg, "cond", lambda m: calls.append(m.shape) or cond(m)
-    )
-    assert polyfit_quartic(d, y).diagnostics == expected
-    assert calls == [(5, 5)]
-    system = _moment_system(d, y, 4)
-    assert solve_dense(system, cond=expected.condition_estimate)[1] == expected
+    for d, systems in ((np.arange(1.0, 21.0), 1), (np.linspace(100.0, 2000.0, 25), 2)):
+        y = 0.01 * d**2 + 1.0
+        expected = polyfit_quartic(d, y).diagnostics
+        assert expected.scaled == (systems == 2)
+        assert expected.condition_estimate == cond(_moment_system(d, y, 4).matrix)
+        calls = []
+        monkeypatch.setattr(
+            np.linalg, "cond", lambda m: calls.append(m.shape) or cond(m)
+        )
+        assert polyfit_quartic(d, y).diagnostics == expected
+        assert calls == [(5, 5)] * systems
+        monkeypatch.undo()
