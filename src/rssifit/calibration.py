@@ -160,15 +160,18 @@ def fit_path_loss(
     else:
         anchor = _nearest_row(stats, d0)
         rss_d0 = anchor.mean_rss
-        yc = y - rss_d0
         sxx = float(np.sum(x * x))
         if sxx == 0.0:
             raise DegenerateDataError("all distances equal d0; slope is undefined")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            sxy = float(np.sum(x * (y - rss_d0)))
+        if not math.isfinite(sxy):
+            raise DataError(
+                "mean RSS values are too large: a normal-equation sum overflows"
+            )
         # 1x1 normal equation, routed through the shared solver so anchored
         # fits report pivot/condition diagnostics like free ones.
-        coeffs, diagnostics = solve_dense(
-            DenseSystem([[sxx]], [float(np.sum(x * yc))])
-        )
+        coeffs, diagnostics = solve_dense(DenseSystem([[sxx]], [sxy]))
         eta = -float(coeffs[0])
         n_params = 1
 

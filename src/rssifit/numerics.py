@@ -8,6 +8,15 @@ rather than delegated, so the pivot sequence and failure behaviour are part
 of the tested contract. A QR orthogonal factorization handles the rare
 ill-conditioned system.
 
+The elimination and the moment sums run in plain float64 operations in one
+documented order: elimination and back substitution in Python floats (the
+first row with the largest |a[i][k]| pivots; each back-substitution sum runs
+left to right), the powers of d as repeated products, and every moment
+summed over the rows in row order. None of it calls BLAS, whose kernels
+(and their use of fused multiply-add) change with the CPU, so a fit gives the
+same bits whatever BLAS build numpy runs on. The QR fallback and the
+condition estimate of systems larger than 2x2 still call LAPACK.
+
 Why this is safe here: the moment matrix of d = 1..20 has a condition
 estimate around 2.3e11. That sounds alarming, but the quantity the callers
 check is the stationarity of the normal equations (sum of resid * d^k per
@@ -48,7 +57,7 @@ def _as_matrix(a: object) -> np.ndarray:
         raise DataError(f"matrix must be square 2-D, got shape {m.shape}")
     if m.shape[0] == 0:
         raise DataError("matrix must be non-empty")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise DataError("matrix entries must be finite")
     return m
 
@@ -57,7 +66,7 @@ def _as_rhs(b: object, n: int) -> np.ndarray:
     v = np.array(b, dtype=np.float64)
     if v.shape != (n,):
         raise DataError(f"rhs must have shape ({n},), got {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise DataError("rhs entries must be finite")
     return v
 
@@ -83,8 +92,32 @@ class DenseSystem:
 
     @cached_property
     def condition_estimate(self) -> float:
-        """2-norm condition number of ``matrix``, computed on first use."""
-        return float(np.linalg.cond(self.matrix))
+        """2-norm condition number of ``matrix``, computed on first use.
+
+        ``inf`` for a singular matrix. Sizes 1 and 2 use a closed form in
+        plain floats; larger systems call ``np.linalg.cond`` (an SVD in
+        LAPACK), whose last digits vary with the LAPACK build. The estimate
+        only decides the QR fallback and the quartic's refit against
+        :data:`CONDITION_FALLBACK`; read it as an order of magnitude.
+        """
+        if self.size > 2:
+            return float(np.linalg.cond(self.matrix))
+        entries = self.matrix.ravel().tolist()
+        top = max(map(abs, entries))
+        if not top:
+            return math.inf
+        if self.size == 1:
+            return 1.0
+        # Divided by the largest entry first, so that nothing below overflows
+        # and only a determinant far below it underflows (to 0: singular).
+        # The larger singular value is sigma_max below, the smaller
+        # |det| / sigma_max.
+        a, b, c, d = (v / top for v in entries)
+        det = abs(a * d - b * c)
+        if not det:
+            return math.inf
+        sigma_max = (math.hypot(a + d, b - c) + math.hypot(a - d, b + c)) / 2
+        return sigma_max * sigma_max / det
 
 
 @dataclass(frozen=True)
@@ -97,38 +130,50 @@ class SolveDiagnostics:
     scaled: bool = False
 
 
-def _eliminate(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
+def _eliminate(
+    a: list[list[float]], b: list[float]
+) -> tuple[list[float], tuple[float, ...]]:
     """In-place partial-pivot elimination; returns solution and pivot sizes."""
-    n = a.shape[0]
+    n = len(a)
     pivots = []
     for k in range(n):
-        # np.argmax returns the lowest index among ties, which makes the
-        # elimination order deterministic for symmetric inputs.
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0.0:
+        # max() keeps the first row among ties, which makes the elimination
+        # order deterministic for symmetric inputs.
+        p = max(range(k, n), key=lambda i: abs(a[i][k]))
+        row = a[p]
+        pivot = row[k]
+        if pivot == 0.0:
             raise SingularMatrixError(
                 f"zero pivot in column {k}: matrix is singular"
             )
         if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        pivots.append(abs(float(a[k, k])))
-        if k + 1 < n:
-            factors = a[k + 1 :, k] / a[k, k]
-            a[k + 1 :, k:] -= factors[:, np.newaxis] * a[k, k:]
-            b[k + 1 :] -= factors * b[k]
+            a[k], a[p] = row, a[k]
+            b[k], b[p] = b[p], b[k]
+        pivots.append(abs(pivot))
+        # Column k below the pivot is never read again, so it is not zeroed.
+        for i in range(k + 1, n):
+            target = a[i]
+            factor = target[k] / pivot
+            for j in range(k + 1, n):
+                target[j] -= factor * row[j]
+            b[i] -= factor * b[k]
     return _back_substitute(a, b), tuple(pivots)
 
 
-def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n = r.shape[0]
-    x = np.empty(n, dtype=np.float64)
+def _back_substitute(r: list[list[float]], y: list[float]) -> list[float]:
+    """Solve the upper triangle of ``r``; each row's sum runs left to right."""
+    n = len(r)
+    x = [0.0] * n
     for k in range(n - 1, -1, -1):
-        if r[k, k] == 0.0:
+        row = r[k]
+        if row[k] == 0.0:
             raise SingularMatrixError(
                 f"zero diagonal in triangular factor at row {k}"
             )
-        x[k] = (y[k] - r[k, k + 1 :] @ x[k + 1 :]) / r[k, k]
+        total = 0.0
+        for j in range(k + 1, n):
+            total += row[j] * x[j]
+        x[k] = (y[k] - total) / row[k]
     return x
 
 
@@ -149,7 +194,7 @@ def orthogonal_solve(system: DenseSystem) -> np.ndarray:
             "matrix is singular to working precision (negligible diagonal "
             "in the triangular factor)"
         )
-    return _back_substitute(r, q.T @ system.rhs)
+    return np.array(_back_substitute(r.tolist(), (q.T @ system.rhs).tolist()))
 
 
 def solve_dense(system: DenseSystem) -> tuple[np.ndarray, SolveDiagnostics]:
@@ -165,8 +210,8 @@ def solve_dense(system: DenseSystem) -> tuple[np.ndarray, SolveDiagnostics]:
     if not cond <= CONDITION_FALLBACK:
         x = orthogonal_solve(system)
         return x, SolveDiagnostics((), cond, used_orthogonal=True)
-    x, pivots = _eliminate(system.matrix.copy(), system.rhs.copy())
-    return x, SolveDiagnostics(pivots, cond)
+    x, pivots = _eliminate(system.matrix.tolist(), system.rhs.tolist())
+    return np.array(x), SolveDiagnostics(pivots, cond)
 
 
 def _pair(a: object, b: object, names: str) -> tuple[np.ndarray, np.ndarray]:
@@ -182,8 +227,8 @@ def _pair(a: object, b: object, names: str) -> tuple[np.ndarray, np.ndarray]:
 def _squares(observed: np.ndarray, fitted: np.ndarray) -> tuple[float, float]:
     """(r^2, SSE), r^2 being 0 for a constant; refuses what it cannot sum."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        sse = float(np.sum((observed - fitted) ** 2))
-        sst = float(np.sum((observed - np.mean(observed)) ** 2))
+        sse = float(((observed - fitted) ** 2).sum())
+        sst = float(((observed - observed.mean()) ** 2).sum())
     if not (math.isfinite(sse) and math.isfinite(sst)):
         for name, values in (("observed", observed), ("fitted", fitted)):
             if not np.isfinite(values).all():
@@ -214,16 +259,18 @@ def ols_line(x: object, y: object) -> LineFit:
     n = xv.size
     if n < 2:
         raise InsufficientDataError(f"need at least 2 points for a line, got {n}")
-    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
+    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
         raise DataError("x and y must be finite")
-    if np.all(xv == xv[0]):
+    if (xv == xv[0]).all():
         raise DegenerateDataError("all x values are identical; slope is undefined")
-    sx = float(np.sum(xv))
-    sxx = float(np.sum(xv * xv))
-    sy = float(np.sum(yv))
-    sxy = float(np.sum(xv * yv))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        sx, sxx, sy, sxy = (float(v.sum()) for v in (xv, xv * xv, yv, xv * yv))
+    if not all(map(math.isfinite, (sx, sxx, sy, sxy))):
+        raise DataError("x and y are too large: a normal-equation sum overflows")
     coeffs, diag = solve_dense(DenseSystem([[sxx, sx], [sx, float(n)]], [sxy, sy]))
     slope, intercept = float(coeffs[0]), float(coeffs[1])
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise DataError("x and y are too large: the solved line overflows")
     r2, _ = _squares(yv, slope * xv + intercept)
     return LineFit(slope=slope, intercept=intercept, r2=r2, diagnostics=diag)
 
@@ -246,15 +293,27 @@ def _moment_system(d: np.ndarray, y: np.ndarray, degree: int) -> DenseSystem:
 
     Matrix entry (i, j) is sum(d^(2*degree - i - j)); rhs entry i is
     sum(y * d^(degree - i)). For the quartic that means moments d^8 .. d^0.
+    The powers are repeated products (d, d*d, d*d*d, ...), and every moment
+    sums over the rows in row order: elementwise float operations in one
+    fixed order, with no BLAS call.
     """
+    powers = np.ones((d.size, 2 * degree + 1))
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        powers = d[:, np.newaxis] ** np.arange(degree, -1, -1)
-        matrix = powers.T @ powers
-        rhs = powers.T @ y
-    # No entry exceeds n + matrix[0, 0] = n + sum(d^(2*degree)) in size, so a
-    # finite corner means a finite matrix.
-    if not math.isfinite(matrix[0, 0]):
+        # Column j is d^j: the accumulation multiplies by d one column at a
+        # time, and a sum over axis 0 adds whole rows one after another.
+        np.multiply.accumulate(
+            np.repeat(d[:, np.newaxis], 2 * degree, axis=1), axis=1,
+            out=powers[:, 1:],
+        )
+        moments = powers.sum(axis=0).tolist()[::-1]  # d^(2*degree) first
+        rhs = (powers[:, degree::-1] * y[:, np.newaxis]).sum(axis=0).tolist()
+    matrix = [moments[i : i + degree + 1] for i in range(degree + 1)]
+    # No entry exceeds n + sum(d^(2*degree)) in size, so a finite corner
+    # means a finite matrix.
+    if not math.isfinite(moments[0]):
         raise _out_of_range(d, f"the moment sums of d^{2 * degree} overflow")
+    if not all(map(math.isfinite, rhs)):
+        raise DataError("d and y are too large: a sum of y * d^k overflows")
     return DenseSystem(matrix, rhs)
 
 
@@ -270,9 +329,10 @@ def _fit_moments(
     # y = sum a_k d^k = sum (a_k d_max^k) s^k.
     d_max = float(np.max(np.abs(d)))
     scaled_coeffs, diag = solve_dense(_moment_system(d / d_max, y, degree))
-    # Near 0, d_max^k underflows and a quotient overflows: refused below.
+    # d_max^k as repeated products, as the moments take them. Near 0, d_max^k
+    # underflows and a quotient overflows: refused below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        coeffs = scaled_coeffs / d_max ** np.arange(degree, -1, -1.0)
+        coeffs = scaled_coeffs / np.cumprod([1.0] + [d_max] * degree)[::-1]
     if not np.isfinite(coeffs).all():
         raise _out_of_range(d, "undoing the d/d_max scaling overflows")
     diag = replace(diag, condition_estimate=system.condition_estimate, scaled=True)
@@ -287,7 +347,7 @@ def polyfit_quartic(d: object, y: object) -> PolynomialFit:
     degrees of freedom.
     """
     dv, yv = _pair(d, y, "d and y")
-    if not (np.all(np.isfinite(dv)) and np.all(np.isfinite(yv))):
+    if not (np.isfinite(dv).all() and np.isfinite(yv).all()):
         raise DataError("d and y must be finite")
     n_distinct = np.unique(dv).size
     if n_distinct < 6:

@@ -729,18 +729,24 @@ def test_both_distance_spellings_word_the_size_limit_alike(capsys, tmp_path):
     ] * 2
 
 
-def _stats_file(path, distances, means):
+def _stats_file(path, distances, means, sds=None):
+    sds = [1.0 + i / 10 for i in range(len(means))] if sds is None else sds
     rows = "".join(
-        f"{d!r},{m!r},{1.0 + i / 10!r},,10\n"
-        for i, (d, m) in enumerate(zip(distances, means))
+        f"{d!r},{m!r},{s!r},,10\n" for d, m, s in zip(distances, means, sds)
     )
     path.write_text("distance_m,mean_dbm,sd_db,prr_pct,n\n" + rows)
     return str(path)
 
 
-@pytest.mark.parametrize("case", ["means", "far", "near", "loud"])
+@pytest.mark.parametrize(
+    "case", ["means", "sxy", "anchored", "residual", "sds", "far", "near", "loud"]
+)
 def test_overflow_crosses_as_one_error_line_without_warnings(capsys, tmp_path, case):
     ramp = [-50.0 - i for i in range(8)]
+    # x * y overflows in the trend's normal equations, and so does y - rss_d0
+    huge = _stats_file(
+        tmp_path / "huge.csv", range(1, 9), [(-1) ** i * 1.7e308 for i in range(8)]
+    )
     argv, line = {
         # x = 10 log10(d) is tame; the squared residuals of the means are not
         "means": (
@@ -749,6 +755,26 @@ def test_overflow_crosses_as_one_error_line_without_warnings(capsys, tmp_path, c
                 [(-1) ** i * 1e200 for i in range(8)],
             )),
             "observed and fitted are too large: a sum of squares overflows",
+        ),
+        "sxy": (
+            ("fit", huge),
+            "x and y are too large: a normal-equation sum overflows",
+        ),
+        "anchored": (
+            ("fit", huge, "--intercept-mode", "anchored"),
+            "mean RSS values are too large: a normal-equation sum overflows",
+        ),
+        # the residual_y target fits the trend first
+        "residual": (
+            ("sigma-fit", huge, "--target", "residual_y"),
+            "x and y are too large: a normal-equation sum overflows",
+        ),
+        # the trend is tame; sd * d^4 overflows in the moment right-hand side
+        "sds": (
+            ("sigma-fit", _stats_file(
+                tmp_path / "sds.csv", range(1, 9), ramp, [1.7e308] * 8
+            )),
+            "d and y are too large: a sum of y * d^k overflows",
         ),
         # d^8 reaches 1e312, so the raw moment sums overflow
         "far": (

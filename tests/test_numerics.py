@@ -1,8 +1,15 @@
 """Dense solver and least-squares fits, checked against independent oracles."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rssifit
 from rssifit import (
     CONDITION_FALLBACK,
     DataError,
@@ -230,3 +237,145 @@ def test_quartic_fit_estimates_the_raw_condition_once(monkeypatch):
         assert polyfit_quartic(d, y).diagnostics == expected
         assert calls == [(5, 5)] * systems
         monkeypatch.undo()
+
+
+def moment_reference(d, y, degree):
+    """The moment system as documented: d^k as repeated products, each sum
+    taken over the rows in row order, in plain Python floats."""
+    moments = [0.0] * (2 * degree + 1)
+    rhs = [0.0] * (degree + 1)
+    for dr, yr in zip(d.tolist(), y.tolist()):
+        power = 1.0
+        for k in range(2 * degree + 1):
+            moments[k] += power
+            if k <= degree:
+                rhs[degree - k] += yr * power
+            power *= dr
+    size = range(degree + 1)
+    return [[moments[2 * degree - i - j] for j in size] for i in size], rhs
+
+
+def test_moment_sums_follow_the_documented_order_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(6, 80))
+        d = rng.uniform(0.1, 2.0, n) * 10.0 ** rng.integers(-3, 4)
+        if rng.random() < 0.5:
+            d = -d
+        y = rng.normal(0.0, 10.0, n)
+        matrix, rhs = moment_reference(d, y, 4)
+        system = _moment_system(d, y, 4)
+        assert system.matrix.tolist() == matrix
+        assert system.rhs.tolist() == rhs
+
+
+def partial_pivot_reference(a, b):
+    """Textbook partial-pivot elimination in Python floats: the first row
+    with the largest |a[i][k]| pivots, rows are reduced in full, and each
+    back-substitution sum runs left to right."""
+    a = [list(map(float, row)) for row in a]
+    b = list(map(float, b))
+    n = len(a)
+    for k in range(n):
+        p = k
+        for i in range(k + 1, n):
+            if abs(a[i][k]) > abs(a[p][k]):
+                p = i
+        a[k], a[p] = a[p], a[k]
+        b[k], b[p] = b[p], b[k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [a[i][j] - f * a[k][j] for j in range(n)]
+            b[i] = b[i] - f * b[k]
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        total = 0.0
+        for j in range(k + 1, n):
+            total = total + a[k][j] * x[j]
+        x[k] = (b[k] - total) / a[k][k]
+    return x, [abs(a[k][k]) for k in range(n)]
+
+
+def test_elimination_follows_the_documented_order_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-5, 6, size=(n, n))
+        b = rng.normal(size=n)
+        x, diag = solve_dense(DenseSystem(a, b))
+        assert not diag.used_orthogonal
+        x_ref, pivots = partial_pivot_reference(a, b)
+        assert x.tolist() == x_ref
+        assert list(diag.pivot_magnitudes) == pivots
+
+
+def test_small_condition_estimate_agrees_with_numpy_at_every_scale():
+    rng = np.random.default_rng(13)
+    for exponent in range(-300, 301, 25):
+        for n in (1, 2):
+            for _ in range(20):
+                # singular values 1 and 10^-u, u up to 3, turned at random
+                q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                s = 10.0 ** -rng.uniform(0.0, 3.0, n)
+                m = (q1 * s) @ q2 * 10.0**exponent
+                got = DenseSystem(m, np.ones(n)).condition_estimate
+                want = float(np.linalg.cond(m))
+                assert got == pytest.approx(want, rel=1e-12), (m, got, want)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[0.0]],
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[1.0, 2.0], [2.0, 4.0]],
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[0.0, 3.0], [0.0, 0.0]],
+        [[1e-300, 2e-300], [2e-300, 4e-300]],
+        [[1e300, 1e300], [1e300, 1e300]],
+        [[1.0, 0.0], [0.0, 1e-13]],
+        [[1.0, 0.0], [0.0, 1e-310]],
+    ],
+)
+def test_small_condition_estimate_chooses_the_path_numpy_would(matrix):
+    estimate = DenseSystem(matrix, [1.0] * len(matrix)).condition_estimate
+    assert (estimate <= CONDITION_FALLBACK) == (
+        np.linalg.cond(np.array(matrix)) <= CONDITION_FALLBACK
+    )
+    assert estimate > CONDITION_FALLBACK
+
+
+FIT_REPRS = """
+from rssifit import embedded_dataset, fit_path_loss, fit_sigma_polynomial
+for name in ("longwall-face", "gateroad-conveyor"):
+    stats = embedded_dataset(name).stats
+    for mode in ("free", "anchored"):
+        print(repr(fit_path_loss(stats, intercept_mode=mode)))
+    for target in ("sample_sd", "residual_y"):
+        print(repr(fit_sigma_polynomial(stats, target=target)))
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OpenBLAS core types named here are x86-64 kernels",
+)
+def test_fits_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernels by OPENBLAS_CORETYPE: Haswell's use FMA,
+    # Prescott's do not. A BLAS call anywhere in a fit shows up in its digits.
+    package_root = str(Path(rssifit.__file__).resolve().parents[1])
+    outputs = []
+    for core in ("Haswell", "Prescott"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=core)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", FIT_REPRS],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0].count("\n") == 8
+    assert outputs[0] == outputs[1]
