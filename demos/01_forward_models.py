@@ -36,8 +36,9 @@ print()
 print("Doubling distance costs 6 dB in free space, 12 dB under two-ray:")
 ratio_fs = free_space_rx(free, 2.0) / free_space_rx(free, 4.0)
 ratio_tr = two_ray_rx(two_ray, 2.0) / two_ray_rx(two_ray, 4.0)
-print(f"  free-space ratio per doubling: {ratio_fs:.1f}x ({10 * np.log10(ratio_fs):.1f} dB)")
-print(f"  two-ray ratio per doubling:    {ratio_tr:.1f}x ({10 * np.log10(ratio_tr):.1f} dB)")
+db_fs, db_tr = 10 * np.log10(ratio_fs), 10 * np.log10(ratio_tr)
+print(f"  free-space ratio per doubling: {ratio_fs:.1f}x ({db_fs:.1f} dB)")
+print(f"  two-ray ratio per doubling:    {ratio_tr:.1f}x ({db_tr:.1f} dB)")
 
 print()
 print("=" * 64)

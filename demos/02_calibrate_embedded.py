@@ -55,7 +55,8 @@ for name in ("longwall-face", "gateroad-conveyor"):
     print(f"  rmse = {report.fit.rmse:.4f} (published {pub.rmse})")
 
     sums = stationarity_sums(stats, s, target="sample_sd")
-    print(f"  stationarity residual sums (k = 0..4): max |.| = {max(abs(v) for v in sums):.2e}")
+    largest = max(abs(v) for v in sums)
+    print(f"  stationarity residual sums (k = 0..4): max |.| = {largest:.2e}")
     print()
 
     # --- packet delivery vs channel quality ---------------------------
@@ -68,5 +69,6 @@ for name in ("longwall-face", "gateroad-conveyor"):
 print("=" * 64)
 print("The third record ships without row data — range observations only:")
 record = embedded_dataset("mine-car-pathway")
-print(f"  mine-car-pathway: usable range {record.range_test[0]:.0f}-{record.range_test[1]:.0f} m")
+low, high = record.range_test
+print(f"  mine-car-pathway: usable range {low:.0f}-{high:.0f} m")
 print(f"  {record.provenance}")

@@ -62,7 +62,10 @@ print("3. Range planning against receiver sensitivity")
 print("=" * 64)
 constants = LinkConstants()  # -92 dBm sensitivity
 print(f"receiver sensitivity: {constants.receiver_sensitivity} dBm")
-print(f"{'outage z':>9} {'max range (m)':>14} {'fade margin (dB)':>17} {'extrapolated?':>14}")
+print(
+    f"{'outage z':>9} {'max range (m)':>14} {'fade margin (dB)':>17} "
+    f"{'extrapolated?':>14}"
+)
 for z in (0.0, 1.0, 1.96):
     plan = max_range(model, constants, outage_z=z)
     print(

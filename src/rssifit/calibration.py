@@ -119,10 +119,6 @@ class FitReport:
         return self.model.rss_d0
 
 
-def _nearest_row(stats: SurveyStats, d0: float):
-    return min(stats.rows, key=lambda r: (abs(r.distance - d0), r.distance))
-
-
 def fit_path_loss(
     stats: SurveyStats, d0: float = 1.0, intercept_mode: str = "free"
 ) -> FitReport:
@@ -135,13 +131,11 @@ def fit_path_loss(
     """
     intercept_mode = one_of("intercept_mode", intercept_mode, INTERCEPT_MODES)
     d0 = positive("d0", d0)
-    if len(stats.rows) < 3:
+    d, y = stats.distance_m, stats.mean_dbm
+    if d.size < 3:
         raise InsufficientDataError(
-            f"need at least 3 distinct distances to fit a trend, "
-            f"got {len(stats.rows)}"
+            f"need at least 3 distinct distances to fit a trend, got {d.size}"
         )
-    d = np.array(stats.distances, dtype=np.float64)
-    y = np.array(stats.means, dtype=np.float64)
     # Regressor: x = 10*log10(d/d0). Slope is -eta, intercept is rss_d0.
     with np.errstate(over="ignore", divide="ignore"):
         x = 10.0 * np.log10(d / d0)
@@ -158,8 +152,8 @@ def fit_path_loss(
         diagnostics = line.diagnostics
         n_params = 2
     else:
-        anchor = _nearest_row(stats, d0)
-        rss_d0 = anchor.mean_rss
+        # The row nearest d0; of two as near, argmin takes the smaller distance.
+        rss_d0 = y[np.argmin(np.abs(d - d0))].item()
         sxx = float(np.sum(x * x))
         if sxx == 0.0:
             raise DegenerateDataError("all distances equal d0; slope is undefined")
@@ -177,7 +171,7 @@ def fit_path_loss(
 
     fitted = rss_d0 - eta * x
     gof = goodness_of_fit(y, fitted, n_params=n_params)
-    residuals = tuple(float(v) for v in (y - fitted))
+    residuals = tuple((y - fitted).tolist())
     y_values = tuple(r / RESIDUAL_Z for r in residuals)
     model = ShadowedPathLossModel(d0=d0, rss_d0=rss_d0, eta=eta)
     return FitReport(
@@ -200,9 +194,8 @@ def residual_y(
     the fitted line (in path-loss space the sign flips, PL = Pt - RSS). The
     model need not have been fitted to these rows.
     """
-    resid = tuple(
-        r.mean_rss - predict_mean_rss(model, r.distance) for r in stats.rows
-    )
+    pairs = zip(stats.distances, stats.means)
+    resid = tuple(mean - predict_mean_rss(model, d) for d, mean in pairs)
     if scaled:
         return tuple(v / RESIDUAL_Z for v in resid)
     return resid
@@ -219,7 +212,7 @@ def sigma_target(
     ``trend``, which is fitted to the same rows with defaults when omitted.
     """
     if one_of("target", target, SIGMA_TARGETS) == "sample_sd":
-        return np.array(stats.sds, dtype=np.float64)
+        return stats.sd_db.copy()
     if trend is None:
         trend = fit_path_loss(stats).model
     return np.array(residual_y(stats, trend), dtype=np.float64)
@@ -269,7 +262,7 @@ def fit_sigma_polynomial(
     """
     target = one_of("target", target, SIGMA_TARGETS)
     y = sigma_target(stats, target, trend)
-    d = np.array(stats.distances, dtype=np.float64)
+    d = stats.distance_m
     poly = polyfit_quartic(d, y)
     sigma = SigmaPolynomial(*poly.coefficients, d_min=d.min(), d_max=d.max())
     fitted = polyval(poly.coefficients, d)
@@ -291,7 +284,7 @@ def stationarity_sums(
     arithmetic; their float magnitudes measure how well the solve hit the
     optimum. Returned lowest power first.
     """
-    d = np.array(stats.distances, dtype=np.float64)
+    d = stats.distance_m
     resid = sigma_target(stats, target, trend) - polyval(sigma.coefficients, d)
     return _weighted_sums(d, resid)
 
@@ -312,14 +305,13 @@ class PrrCorrelations:
 
 def prr_correlations(stats: SurveyStats) -> PrrCorrelations:
     """Correlate PRR against per-distance sd and mean RSS."""
-    rows = [r for r in stats.rows if r.prr is not None]
-    if len(rows) < 3:
+    has = ~np.isnan(stats.prr_pct)
+    n_rows = int(has.sum())
+    if n_rows < 3:
         raise InsufficientDataError(
-            f"need at least 3 rows with PRR to correlate, got {len(rows)}"
+            f"need at least 3 rows with PRR to correlate, got {n_rows}"
         )
-    prr = np.array([r.prr for r in rows], dtype=np.float64)
-    sd = np.array([r.sd for r in rows], dtype=np.float64)
-    mean = np.array([r.mean_rss for r in rows], dtype=np.float64)
+    prr, sd, mean = stats.prr_pct[has], stats.sd_db[has], stats.mean_dbm[has]
     for name, col in (("prr", prr), ("sd", sd), ("mean_rss", mean)):
         if np.all(col == col[0]):
             raise DegenerateDataError(
@@ -328,5 +320,5 @@ def prr_correlations(stats: SurveyStats) -> PrrCorrelations:
     return PrrCorrelations(
         prr_vs_sd=float(np.corrcoef(prr, sd)[0, 1]),
         prr_vs_mean=float(np.corrcoef(prr, mean)[0, 1]),
-        n_rows=len(rows),
+        n_rows=n_rows,
     )

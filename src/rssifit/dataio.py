@@ -190,8 +190,7 @@ def _pooled(site: str, distance, rssi) -> RssiSurvey:
     group = np.argsort(order)[inverse.ravel()]  # rank of first appearance
     group = np.repeat(group, np.diff(runs, append=distance.size))
     samples = rssi[np.argsort(group, kind="stable")]
-    rows = np.split(samples, np.cumsum(np.bincount(group))[:-1])
-    return RssiSurvey(site=site, rows=zip(unique[order], rows))
+    return RssiSurvey._from_columns(site, unique[order], np.bincount(group), samples)
 
 
 def _survey_rows(text: str) -> RssiSurvey:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, integer, positive, settle, text
-from .models import ShadowedPathLossModel, predict_mean_rss, sigma_at
+from .models import ShadowedPathLossModel, predict_mean_rss, sigma_curve
 from .surveys import RssiSurvey
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -133,20 +133,19 @@ def simulate_survey(spec: SimulationSpec) -> RssiSurvey:
     Each sample is predict_mean_rss(d) + sigma_clamped(d) * z with z from the
     module's documented generator. A model without a sigma model (or with
     sigma identically zero) yields noiseless samples equal to the mean trend;
-    one whose sigma is negative at a distance is refused by ``sigma_at``.
+    one whose sigma is negative at a distance is refused by ``sigma_curve``.
     """
-    model, sigma = spec.model, spec.model.sigma
-    means, sigmas = [], []
-    for d in spec.distances:
-        means.append(predict_mean_rss(model, d))
-        sigmas.append(0.0 if sigma is None else sigma_at(sigma, d).value)
-    n = spec.samples_per_distance
+    model, sigma, n = spec.model, spec.model.sigma, spec.samples_per_distance
+    distances = np.array(spec.distances)
+    means = [predict_mean_rss(model, d) for d in spec.distances]
     samples = np.repeat(np.array(means)[:, None], n, axis=1)
-    sigmas = np.array(sigmas)
+    sigmas = np.zeros(len(means)) if sigma is None else sigma_curve(sigma, distances)
     # Rows with sigma == 0 draw nothing and stay exactly at the mean.
     noisy = np.flatnonzero(sigmas)
     if noisy.size:
         with np.errstate(over="ignore"):  # RssiSurvey refuses a non-finite sample
             samples[noisy] += sigmas[noisy, None] * _normals(spec.seed, noisy, n)
+    counts = np.full(distances.size, n, dtype=np.intp)
     metadata = (("generator", "splitmix64-boxmuller-v1"), ("seed", str(spec.seed)))
-    return RssiSurvey(spec.site, zip(spec.distances, samples), metadata)
+    columns = distances, counts, samples.ravel()
+    return RssiSurvey._from_columns(spec.site, *columns, metadata=metadata)

@@ -1,10 +1,10 @@
 """Survey containers: raw RSSI readings and their per-distance statistics.
 
 A survey is a set of repeated RSSI readings taken at known transmitter to
-receiver separations along a single path; it keeps them in flat numpy arrays
-and builds a tuple view of its rows only when asked. Calibration works from
-per-distance summary rows (mean, n-1 standard deviation, count, optionally the
-packet reception ratio), the shape the embedded reference tables arrive in.
+receiver separations along a single path. Calibration works from per-distance
+summary rows (mean, n-1 standard deviation, count, optionally the packet
+reception ratio). Both containers keep read-only numpy columns, checked in one
+vectorised pass, and build a tuple view of their rows only when asked.
 """
 
 from __future__ import annotations
@@ -15,20 +15,46 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, InsufficientDataError
+from .errors import DataError, InsufficientDataError, _refused
 from .errors import integer, nonnegative, number, positive, real, settle, text
+
+_key = attrgetter("site", "rows", "metadata")
+
+
+class _Columns:
+    """A frozen dataclass of read-only columns, equal by (site, rows, metadata)."""
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and _key(self) == _key(other)
+
+    def __hash__(self) -> int:
+        return hash(_key(self))
+
+    @classmethod
+    def _from_columns(cls, site: str, *columns: np.ndarray, metadata=()):
+        """The instance of fresh columns, taken over and checked as rows are."""
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "site", text("site", site))
+        object.__setattr__(obj, "metadata", metadata)
+        obj._store(*columns)
+        return obj
+
+    def _freeze(self, **columns: np.ndarray) -> None:
+        for name, column in columns.items():
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
 
 @dataclass(frozen=True, eq=False)
-class RssiSurvey:
+class RssiSurvey(_Columns):
     """Raw survey: RSSI samples in dBm, in rows that each hold one distance (m).
 
     Built from ``rows``, (distance, samples) pairs with any flat sequence of
-    numbers as samples, and stored as read-only arrays: ``distances`` and
-    ``counts`` per row, and ``samples`` row after row. Rows keep their order;
-    distances may repeat (:func:`survey_stats` merges them). ``survey.rows``
-    builds tuples of Python floats on access; ``==`` and ``hash`` follow
-    (site, rows, metadata). ``metadata`` is free-form provenance.
+    numbers but text, bools and complex values as samples. Stored as read-only
+    arrays: ``distances`` and ``counts`` per row, ``samples`` row after row.
+    Rows keep their order; distances may repeat. ``survey.rows`` builds tuples
+    of Python floats on access; ``==`` and ``hash`` follow (site, rows,
+    metadata). ``metadata`` is free-form provenance.
     """
 
     site: str
@@ -40,53 +66,75 @@ class RssiSurvey:
 
     def __post_init__(self, rows) -> None:
         settle(self, text, "site")
-        distances, chunks = [], []
-        for i, row in enumerate(rows):
-            try:
-                distance, samples = row
-            except (TypeError, ValueError):
-                raise DataError(f"row {i} is not a (distance, samples) pair") from None
-            distance = positive("distance", distance)
-            try:
-                values = np.asarray(samples, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError):
-                values = None
-            if values is None or values.ndim != 1:
-                raise DataError(f"not a flat list of samples at distance {distance} m")
-            if not values.size:
-                raise DataError(f"no samples at distance {distance} m")
-            if not np.isfinite(values).all():
-                raise DataError(f"non-finite RSSI sample at distance {distance} m")
-            distances.append(distance)
-            chunks.append(values)
-        if not chunks:
-            raise DataError("survey must contain at least one row")
+        distances, chunks, fault = [], [], None
+        try:
+            for i, row in enumerate(rows):
+                distance, values = _row(i, row)
+                distances.append(distance)
+                chunks.append(values)
+        except TypeError:
+            raise DataError("rows must be (distance, samples) pairs") from None
+        except DataError as exc:  # raised once the rows before it pass
+            fault = exc
         counts = np.fromiter(map(len, chunks), np.intp, len(chunks))
-        arrays = np.array(distances), counts, np.concatenate(chunks)
-        for name, array in zip(("distances", "counts", "samples"), arrays):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        samples = np.concatenate(chunks) if chunks else np.empty(0)
+        self._store(np.array(distances, dtype=np.float64), counts, samples, fault)
 
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is self.__class__ and _key(self) == _key(other)
-
-    def __hash__(self) -> int:
-        return hash(_key(self))
+    def _store(self, distances, counts, samples, fault=None) -> None:
+        """Refuse the first row with a distance not finite and > 0, with no
+        samples or with a non-finite one, then ``fault``; else store."""
+        ok = (distances > 0.0) & (distances < np.inf) & (counts > 0)
+        finite = np.isfinite(samples)
+        if np.count_nonzero(ok) < ok.size or np.count_nonzero(finite) < finite.size:
+            ok[np.repeat(np.arange(counts.size), counts)[~finite]] = False
+            i = int(np.argmin(ok))
+            d = positive("distance", distances[i].item())
+            what = "no samples" if counts[i] < 1 else "non-finite RSSI sample"
+            raise DataError(f"{what} at distance {d} m")
+        if fault is not None:
+            raise fault
+        if not counts.size:
+            raise DataError("survey must contain at least one row")
+        self._freeze(distances=distances, counts=counts, samples=samples)
 
     @property
     def n_samples(self) -> int:
         return self.samples.size
 
 
+def _row(i: int, row) -> tuple[float, np.ndarray]:
+    """Row ``i``'s distance, and its samples as a 1-D float64 array."""
+    try:
+        distance, samples = row
+    except (TypeError, ValueError):
+        raise DataError(f"row {i} is not a (distance, samples) pair") from None
+    distance = positive("distance", distance)
+    try:
+        # A list of floats and ints converts in one pass; other lists and
+        # object arrays may hide bools or text among numbers.
+        plain = isinstance(samples, (list, tuple))
+        plain = plain and set(map(type, samples)) <= {float, int}
+        values = np.asarray(samples, np.float64 if plain else None)
+        kind = values.dtype.kind
+        typed = plain or values is samples and kind != "O"
+        if values.ndim == 1 and kind in "iufO" and (
+            typed or not any(map(_refused, samples))
+        ):
+            return distance, values.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DataError(f"not a flat list of samples at distance {distance} m")
+
+
 def _rows(survey: RssiSurvey) -> tuple[tuple[float, tuple[float, ...]], ...]:
+    """The rows, built on access."""
     ends = np.cumsum(survey.counts)[:-1]
     rows = map(np.ndarray.tolist, np.split(survey.samples, ends))
     return tuple(zip(survey.distances.tolist(), map(tuple, rows)))
 
 
 # Set after the class body, where ``rows`` names the init argument.
-RssiSurvey.rows = property(_rows, doc="The rows as tuples, built on access.")
-_key = attrgetter("site", "rows", "metadata")
+RssiSurvey.rows = property(_rows, doc=_rows.__doc__)
 
 
 @dataclass(frozen=True)
@@ -114,35 +162,72 @@ class DistanceStats:
                 raise DataError(f"prr must be in [0, 100] percent, got {self.prr!r}")
 
 
-@dataclass(frozen=True)
-class SurveyStats:
-    """Per-distance summaries for one site, sorted by ascending distance."""
+@dataclass(frozen=True, eq=False, repr=False)
+class SurveyStats(_Columns):
+    """Per-distance summaries for one site, sorted by ascending distance.
+
+    Built from :class:`DistanceStats` rows and stored as read-only columns:
+    float64 ``distance_m``, ``mean_dbm``, ``sd_db`` and ``prr_pct`` (nan for
+    no prr), int64 ``n``. ``rows`` is built on access; ``distances``,
+    ``means`` and ``sds`` are tuples of Python floats.
+    """
 
     site: str
-    rows: tuple[DistanceStats, ...]
+    rows: InitVar[Iterable[DistanceStats]] = ()
     metadata: tuple[tuple[str, str], ...] = ()
+    distance_m: np.ndarray = field(init=False)
+    mean_dbm: np.ndarray = field(init=False)
+    sd_db: np.ndarray = field(init=False)
+    n: np.ndarray = field(init=False)
+    prr_pct: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, rows) -> None:
         settle(self, text, "site")
-        if not self.rows:
+        try:
+            rows = tuple(rows)
+        except TypeError:
+            raise DataError(f"rows must be DistanceStats, got {rows!r}") from None
+        for i, row in enumerate(rows):
+            if not isinstance(row, DistanceStats):
+                raise DataError(f"row {i} is not a DistanceStats")
+        if not rows:
             raise DataError("need at least one per-distance row")
-        rows = tuple(sorted(self.rows, key=attrgetter("distance")))
-        object.__setattr__(self, "rows", rows)
-        for prev, cur in zip(rows, rows[1:]):
-            if prev.distance == cur.distance:
-                raise DataError(f"duplicate distance {cur.distance} m in summary rows")
+        rows = sorted(rows, key=attrgetter("distance"))
+        columns = zip(*((r.distance, r.mean_rss, r.sd, r.n, r.prr) for r in rows))
+        try:  # a None prr becomes nan; an n beyond int64 overflows
+            columns = list(map(np.array, columns, (float,) * 3 + (np.int64, float)))
+        except OverflowError:
+            raise DataError("n must be below 2**63") from None
+        self._store(*columns)
 
-    @property
-    def distances(self) -> tuple[float, ...]:
-        return tuple(r.distance for r in self.rows)
+    def _store(self, d, mean, sd, n, prr) -> None:
+        """Refuse the first row that breaks a rule of :class:`DistanceStats`,
+        as it words it, then a distance not above the one before."""
+        self._freeze(distance_m=d, mean_dbm=mean, sd_db=sd, n=n, prr_pct=prr)
+        ok = (d > 0.0) & (d < np.inf) & np.isfinite(mean) & (sd >= 0.0) & (sd < np.inf)
+        if not np.all(ok & (n > 0) & ~((prr < 0.0) | (prr > 100.0))):  # nan: none
+            _stats_rows(self)  # DistanceStats refuses the first bad row
+        step = np.flatnonzero(d[1:] <= d[:-1])  # rows come sorted: a repeat
+        if step.size:
+            raise DataError(f"duplicate distance {d[step[0] + 1]} m in summary rows")
 
-    @property
-    def means(self) -> tuple[float, ...]:
-        return tuple(r.mean_rss for r in self.rows)
+    def __repr__(self) -> str:
+        site, rows, metadata = _key(self)
+        return f"SurveyStats({site=!r}, {rows=!r}, {metadata=!r})"
 
-    @property
-    def sds(self) -> tuple[float, ...]:
-        return tuple(r.sd for r in self.rows)
+    distances = property(lambda self: tuple(self.distance_m.tolist()))
+    means = property(lambda self: tuple(self.mean_dbm.tolist()))
+    sds = property(lambda self: tuple(self.sd_db.tolist()))
+
+
+def _stats_rows(stats: SurveyStats) -> tuple[DistanceStats, ...]:
+    """The rows, built on access."""
+    columns = (c.tolist() for c in (stats.distance_m, stats.mean_dbm, stats.sd_db))
+    prr = [None if p != p else p for p in stats.prr_pct.tolist()]
+    return tuple(map(DistanceStats, *columns, stats.n.tolist(), prr))
+
+
+SurveyStats.rows = property(_stats_rows, doc=_stats_rows.__doc__)
 
 
 def survey_stats(survey: RssiSurvey) -> SurveyStats:
@@ -167,9 +252,9 @@ def survey_stats(survey: RssiSurvey) -> SurveyStats:
             f"estimate a standard deviation, got {n[i]}"
         )
     means = np.bincount(group, weights=survey.samples, minlength=distances.size) / n
-    dev = survey.samples - means[group]
-    var = np.bincount(group, weights=dev * dev, minlength=distances.size) / (n - 1)
+    with np.errstate(over="ignore"):  # an infinite SD is refused by name
+        dev = survey.samples - means[group]
+        var = np.bincount(group, weights=dev * dev, minlength=distances.size) / (n - 1)
     # np.sqrt rounds correctly, as math.sqrt does.
-    columns = distances.tolist(), means.tolist(), np.sqrt(var).tolist(), n.tolist()
-    rows = tuple(map(DistanceStats, *columns))
-    return SurveyStats(site=survey.site, rows=rows, metadata=survey.metadata)
+    columns = distances, means, np.sqrt(var), n, np.full(distances.size, np.nan)
+    return SurveyStats._from_columns(survey.site, *columns, metadata=survey.metadata)

@@ -4,10 +4,12 @@ takes scalars either returns canonical values or refuses junk by name.
 One property drives each such callable in ``rssifit.__all__`` with valid
 arguments but one scalar replaced by a value from a pool of junk and of
 near-numbers: numeric strings, bools, None, nan and the infinities, numpy
-scalars and 0-d arrays, tuples, bare objects. The call must either succeed,
-with every float, int, bool and str field of what it returns holding exactly
-that type, or raise a ``RssifitError`` whose message names the field. Every
-model it returns, at any depth, must survive the JSON model document.
+scalars and 0-d arrays, tuples, bare objects. The ``rows`` of the survey
+containers, a row of them and a row's samples are slots too. The call must
+either succeed, with every float, int, bool and str field of what it returns
+holding exactly that type, or raise a ``RssifitError`` whose message names the
+field. Every model it returns, at any depth, must survive the JSON model
+document.
 """
 
 import dataclasses
@@ -45,6 +47,10 @@ def _with(slot, junk, base):
         kwargs["distances"] = (1.0, junk)
     elif slot == "rows[0].distance":
         kwargs["rows"] = ((junk, (-50.0, -51.0)),)
+    elif slot == "rows[0].samples":
+        kwargs["rows"] = ((1.0, junk),)
+    elif slot == "rows[0]":
+        kwargs["rows"] = (junk,) + tuple(base["rows"][1:])
     else:
         kwargs[slot] = junk
     return kwargs
@@ -67,10 +73,12 @@ CALLS = {
         {"distance": 1.0, "mean_rss": -50.0, "sd": 1.0, "n": 20, "prr": 95.0},
         ("distance", "mean_rss", "sd", "n", "prr"),
     ),
-    "SurveyStats": ({"site": "s", "rows": _STATS.rows}, ("site",)),
+    "SurveyStats": (
+        {"site": "s", "rows": _STATS.rows}, ("site", "rows", "rows[0]")
+    ),
     "RssiSurvey": (
         {"site": "s", "rows": ((1.0, (-50.0, -51.0)),)},
-        ("site", "rows[0].distance"),
+        ("site", "rows", "rows[0]", "rows[0].distance", "rows[0].samples"),
     ),
     "SimulationSpec": (
         {"model": _MODEL, "distances": (1.0, 2.0), "samples_per_distance": 2,
@@ -154,6 +162,11 @@ LABELS = {
     ("SimulationSpec", "distances[1]"): "distance",
     ("SimulationSpec", "samples_per_distance"): "samples at each of",
     ("RssiSurvey", "rows[0].distance"): "distance",
+    ("RssiSurvey", "rows[0].samples"): "samples",
+    ("RssiSurvey", "rows[0]"): "row 0",
+    ("RssiSurvey", "rows"): "row",
+    ("SurveyStats", "rows[0]"): "row 0",
+    ("SurveyStats", "rows"): "row",
     ("standard_normals", "count"): "samples at each of",
     ("goodness_of_fit", "n_params"): "parameters",
     ("max_range", "outage_z"): "margin-adjusted signal",
@@ -251,6 +264,16 @@ def test_every_public_name_is_driven_or_set_aside():
 @example(case=("RssiSurvey", "site"), junk=5)
 @example(case=("SimulationSpec", "site"), junk=5)
 @example(case=("standard_normals", "count"), junk=10**400)
+@example(case=("SurveyStats", "rows[0]"), junk=(1.0, -50.0, 1.0, 5))
+@example(case=("SurveyStats", "rows[0]"), junk=None)
+@example(case=("SurveyStats", "rows"), junk="ab")
+@example(case=("SurveyStats", "rows"), junk=5)
+@example(case=("SurveyStats", "rows"), junk=None)
+@example(case=("RssiSurvey", "rows"), junk=5)
+@example(case=("RssiSurvey", "rows"), junk=None)
+@example(case=("RssiSurvey", "rows[0].samples"), junk=("-50", "-51"))
+@example(case=("RssiSurvey", "rows[0].samples"), junk=(True, False))
+@example(case=("RssiSurvey", "rows[0].samples"), junk=np.array([1j, 2.0]))
 def test_scalars_are_canonical_or_refused_by_name(case, junk):
     name, slot = case
     base, _ = CALLS[name]

@@ -902,7 +902,9 @@ def _parent_keyed(kind, **values):
     except DataError as exc:
         head, tail = str(exc).split(", got ")
         words = (
-            f"field {_PARENT_FIELD_KEYS[word]!r}" if word in _PARENT_FIELD_KEYS else word
+            f"field {_PARENT_FIELD_KEYS[word]!r}"
+            if word in _PARENT_FIELD_KEYS
+            else word
             for word in head.split(" ")
         )
         raise FormatError(" ".join(words) + ", got " + tail) from None

@@ -95,7 +95,9 @@ def test_curves_match_scalar_evaluations():
         atol=1e-12,
     )
     for sigma in (
-        SigmaPolynomial(a=2.6e-6, b=0.0062, c=-0.23, e=2.4, f=-1.7, d_min=1.0, d_max=20.0),
+        SigmaPolynomial(
+            a=2.6e-6, b=0.0062, c=-0.23, e=2.4, f=-1.7, d_min=1.0, d_max=20.0
+        ),
         ConstantSigma(3.5),
         # negative for 2.93 < d < 17.07: both forms refuse its first point
         SigmaPolynomial(a=0, b=0, c=0.1, e=-2.0, f=5.0, d_min=1.0, d_max=20.0),

@@ -21,9 +21,16 @@ from rssifit import (
     SimulationSpec,
     SurveyStats,
     dataio,
+    embedded_dataset,
+    fit_path_loss,
+    fit_sigma_polynomial,
+    load_stats_csv,
     load_survey_csv,
+    prr_correlations,
+    save_stats_csv,
     save_survey_csv,
     simulate_survey,
+    stationarity_sums,
     survey_stats,
 )
 
@@ -329,6 +336,31 @@ def test_hot_paths_never_build_the_rows_view(monkeypatch):
     assert survey_stats(load_survey_csv(data)) == expected
 
 
+def test_stats_and_fits_never_build_distance_stats(monkeypatch):
+    embedded = embedded_dataset("longwall-face").stats
+    spec = SimulationSpec(
+        model=ShadowedPathLossModel(
+            d0=1.0, rss_d0=-40.0, eta=2.0, sigma=ConstantSigma(3.0)
+        ),
+        distances=tuple(float(d) for d in range(1, 9)),
+        samples_per_distance=5,
+        seed=3,
+    )
+    survey = simulate_survey(spec)
+
+    def boxed(self):
+        raise AssertionError("a hot path built the DistanceStats rows")
+
+    monkeypatch.setattr(SurveyStats, "rows", property(boxed))
+    for stats in (survey_stats(survey), embedded):
+        for mode in ("free", "anchored"):
+            fit_path_loss(stats, d0=2.0, intercept_mode=mode)
+        for target in ("sample_sd", "residual_y"):
+            sigma = fit_sigma_polynomial(stats, target=target).sigma
+            stationarity_sums(stats, sigma, target=target)
+    prr_correlations(embedded)
+
+
 @pytest.mark.parametrize(
     "distance",
     ["12", b"12", bytearray(b"12"), None, (1, 2), "x", True, np.True_, np.array("1")],
@@ -359,3 +391,130 @@ def test_distances_that_are_numbers_still_convert():
     survey = RssiSurvey(site="s", rows=((np.float32(2.5), (1.0,)), (3, (2.0,))))
     assert survey.distances.tolist() == [2.5, 3.0]
     assert DistanceStats(distance=np.int64(4), mean_rss=-50.0, sd=1.0, n=2).n == 2
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [("-50", "-51"), (True, False), [True, -50.5], [-50.0, np.float64(1), np.True_],
+     np.array([-50.0 + 1j, -51.0]), np.array([True, -50.5], dtype=object),
+     [b"-50"], ["-50", -51.0]],
+)
+def test_samples_that_are_not_numbers_are_refused_naming_the_distance(samples):
+    with pytest.raises(
+        DataError, match=r"^not a flat list of samples at distance 2\.5 m$"
+    ):
+        RssiSurvey(site="lab", rows=((1.0, (-50.0,)), (2.5, samples)))
+
+
+@pytest.mark.parametrize("rows", [5, None, 2.5, object()])
+def test_rows_that_are_not_iterable_are_refused_by_name(rows):
+    with pytest.raises(DataError, match=r"^rows must be \(distance, samples\) pairs$"):
+        RssiSurvey(site="lab", rows=rows)
+
+
+def _column_bytes(stats):
+    return [(c.dtype.str, c.tobytes()) for c in
+            (stats.distance_m, stats.mean_dbm, stats.sd_db, stats.n, stats.prr_pct)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=survey_rows, metadata=st.sampled_from(((), (("seed", "3"),))))
+def test_survey_stats_equal_the_stats_built_from_their_rows(rows, metadata):
+    survey = RssiSurvey("lab", tuple((d, tuple(s)) for d, s in rows), metadata)
+    try:
+        stats = survey_stats(survey)
+    except InsufficientDataError:
+        return
+    again = SurveyStats(site="lab", rows=stats.rows, metadata=metadata)
+    assert again == stats
+    assert hash(again) == hash(stats)
+    assert repr(again) == repr(stats)
+    assert _column_bytes(again) == _column_bytes(stats)
+    for row in stats.rows:
+        assert type(row) is DistanceStats
+        assert [type(v) for v in dataclasses.astuple(row)] == [
+            float, float, float, int, type(None)
+        ]
+    assert stats.distances == tuple(r.distance for r in stats.rows)
+    assert stats.means == tuple(r.mean_rss for r in stats.rows)
+    assert stats.sds == tuple(r.sd for r in stats.rows)
+    for column in _column_bytes(stats):
+        assert column[0] in ("<f8", "<i8")
+    with pytest.raises(ValueError, match="read-only"):
+        stats.mean_dbm[0] = 0.0
+
+
+@st.composite
+def faulty_rows(draw):
+    """Rows of numbers in which any row may hold a bad distance, no samples
+    or a non-finite sample, so a survey can have several faults."""
+    distance = st.sampled_from(
+        (0.5, 1.0, 2.0, 1e-300, 0.0, -0.0, -1.0, math.nan, math.inf)
+    )
+    value = st.sampled_from((-50.0, -51.5, 0.0, math.nan, math.inf, -math.inf))
+    rows = st.tuples(distance, st.lists(value, max_size=4).map(tuple))
+    return tuple(draw(st.lists(rows, max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=faulty_rows())
+@example(rows=((1.0, (math.nan,)), (0.0, (1.0,)), (2.0, ())))
+@example(rows=((1.0, (1.0,)), (2.0, ()), (-1.0, (math.nan,))))
+@example(rows=())
+def test_array_entry_and_row_entry_agree_on_surveys_and_first_errors(rows):
+    distances = np.array([d for d, _ in rows], dtype=np.float64)
+    counts = np.array([len(s) for _, s in rows], dtype=np.intp)
+    samples = np.array([v for _, s in rows for v in s], dtype=np.float64)
+    from_arrays = _built(
+        lambda site, rows: RssiSurvey._from_columns(
+            site, distances, counts, samples, metadata=(("k", "v"),)
+        ),
+        "lab", rows,
+    )
+    from_rows = _built(
+        lambda site, rows: RssiSurvey(site, rows, (("k", "v"),)), "lab", rows
+    )
+    assert from_arrays == from_rows
+    parent = _built(ParentRssiSurvey, "lab", rows)
+    if isinstance(parent, tuple):  # the first bad row, refused as row by row
+        assert from_rows == parent
+    else:
+        assert hash(from_arrays) == hash(from_rows)
+        assert from_arrays.rows == from_rows.rows == parent.rows
+
+
+def test_prr_column_round_trips_present_and_absent_values():
+    rows = (
+        DistanceStats(1.0, -50.0, 1.5, 20, 100.0),
+        DistanceStats(2.0, -55.0, 2.0, 20),
+        DistanceStats(4.0, -61.0, 2.5, 19, 0.0),
+        DistanceStats(8.0, -66.0, 3.0, 18),
+    )
+    stats = SurveyStats(site="s", rows=rows)
+    assert np.isnan(stats.prr_pct).tolist() == [False, True, False, True]
+    loaded = load_stats_csv(save_stats_csv(stats), site="s")
+    assert loaded == stats
+    assert _column_bytes(loaded) == _column_bytes(stats)
+    assert [r.prr for r in loaded.rows] == [100.0, None, 0.0, None]
+
+
+def test_stats_columns_are_sorted_read_only_and_refused_by_name():
+    a = DistanceStats(distance=2.0, mean_rss=-55.0, sd=1.0, n=5, prr=90.0)
+    b = DistanceStats(distance=1.0, mean_rss=-50.0, sd=0.5, n=7)
+    stats = SurveyStats(site="s", rows=[a, b])
+    assert stats.distance_m.tolist() == [1.0, 2.0]
+    assert stats.n.tolist() == [7, 5]
+    assert stats.rows == (b, a)
+    assert repr(stats) == f"SurveyStats(site='s', rows={(b, a)!r}, metadata=())"
+    with pytest.raises(ValueError, match="read-only"):
+        stats.n[0] = 1
+    with pytest.raises(DataError, match=r"^n must be below 2\*\*63$"):
+        SurveyStats(site="s", rows=[dataclasses.replace(a, n=2**63)])
+    # A squared deviation overflows, then a deviation itself; pyproject.toml
+    # makes an escaped RuntimeWarning an error.
+    for wide in ((1e308, -1e308, 1e308), (1.7e308, -1.6e308, -1.6e308)):
+        survey = RssiSurvey("s", ((1.0, wide), (2.0, (1.0, 2.0))))
+        with pytest.raises(DataError, match=r"^sd must be finite and >= 0, got inf$"):
+            survey_stats(survey)
+    with pytest.raises(DataError, match=r"^mean_rss must be finite, got inf$"):
+        survey_stats(RssiSurvey("s", ((1.0, (1e308, 1e308)), (2.0, (1.0, 2.0)))))
