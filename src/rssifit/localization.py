@@ -6,6 +6,11 @@ is the fading spread evaluated once at the point estimate (a single
 fixed-point step; sigma varies slowly and is clamped, so iterating to
 self-consistency buys nothing and would blur the definition).
 
+:func:`confidence_interval` checks its inputs once, at the top. Each later
+value is correct by construction (the inversion proves a distance finite and
+> 0; the sigma evaluation returns a float and a bool), so a private
+constructor re-checks only d_lo <= d_hat <= d_hi: ``pow`` need not be monotone.
+
 Range planning asks the opposite question: out to what distance does the
 predicted signal, less an outage margin of z sigma, stay above the receiver
 sensitivity? That is solved numerically rather than by algebra so clamped or
@@ -21,26 +26,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
 
 from .errors import DataError, NumericalError, nonnegative, positive, probability
 from .errors import flag, real, settle
-from .models import (
-    LinkConstants,
-    ShadowedPathLossModel,
-    mean_rss_curve,
-    predict_mean_rss,
-    sigma_at,
-    sigma_curve,
-)
+from .models import LinkConstants, ShadowedPathLossModel, _mean, _sigma
+from .models import mean_rss_curve, sigma_curve
 
 # Bisection search ceiling and tolerance for max_range, in metres.
 RANGE_SEARCH_MAX = 1e6
 RANGE_TOLERANCE = 0.01
-
-_NORMAL = NormalDist()  # whose quantiles give the intervals' z
 
 
 @dataclass(frozen=True)
@@ -69,6 +67,16 @@ class LocalizationEstimate:
                 "interval must satisfy 0 < d_lo <= d_hat <= d_hi, got "
                 f"({self.d_lo!r}, {self.d_hat!r}, {self.d_hi!r})"
             )
+
+    @classmethod
+    def _from_fields(cls, d_hat, d_lo, d_hi, level, sigma_used, clamped):
+        """An estimate from canonical fields: only their order is checked."""
+        if not d_lo <= d_hat <= d_hi:  # the public constructor words the refusal
+            return cls(d_hat, d_lo, d_hi, level, sigma_used, clamped)
+        est = object.__new__(cls)
+        est.__dict__.update(d_hat=d_hat, d_lo=d_lo, d_hi=d_hi, level=level)
+        est.__dict__.update(sigma_used=sigma_used, clamped=clamped)
+        return est
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,15 @@ def _invert(model: ShadowedPathLossModel, rss: float) -> float:
     return d
 
 
+@lru_cache(maxsize=16)
+def _z(level: float) -> float:
+    """The two-sided normal quantile for a level in (0, 1)."""
+    p = (1.0 + level) / 2.0
+    if p == 1.0:  # inv_cdf refuses it
+        raise DataError(f"level {level!r} is too close to 1 for a normal quantile")
+    return NormalDist().inv_cdf(p)
+
+
 def _no_sigma() -> DataError:
     return DataError("model has no fading model; fit or attach a sigma model first")
 
@@ -137,12 +154,13 @@ def confidence_interval(
     perturbation gives the lower endpoint.
     """
     level = probability("level", level)
-    d_hat = estimate_distance(model, rss)
-    rss = float(rss)  # estimate_distance has checked it
+    z = _z(level)
+    positive("eta", model.eta)
+    rss = real("rss", rss)
+    d_hat = _invert(model, rss)
     if model.sigma is None:
         raise _no_sigma()
-    sigma, clamped = sigma_at(model.sigma, d_hat)
-    z = _NORMAL.inv_cdf((1.0 + level) / 2.0)
+    sigma, clamped = _sigma(model.sigma, d_hat)
     shifted = rss + z * sigma
     try:
         d_lo = _invert(model, shifted)
@@ -153,7 +171,7 @@ def confidence_interval(
         d_hi = _invert(model, shifted)
     except DataError:
         raise _uninvertible_endpoint("upper", "-", rss, level, shifted) from None
-    return LocalizationEstimate(d_hat, d_lo, d_hi, level, sigma, clamped)
+    return LocalizationEstimate._from_fields(d_hat, d_lo, d_hi, level, sigma, clamped)
 
 
 def max_range(
@@ -187,7 +205,7 @@ def max_range(
         """(z*sigma(d), whether sigma was clamped); no sigma enters at z = 0."""
         if outage_z == 0.0:
             return 0.0, False
-        sigma, clamped = sigma_at(model.sigma, d)
+        sigma, clamped = _sigma(model.sigma, d)
         return outage_z * sigma, clamped
 
     grid = np.geomspace(model.d0, RANGE_SEARCH_MAX, 4097)
@@ -213,7 +231,7 @@ def max_range(
     lo, hi = float(grid[ok[-1]]), float(grid[ok[-1] + 1])
     while hi - lo > 0.5 * RANGE_TOLERANCE:
         mid = 0.5 * (lo + hi)
-        if predict_mean_rss(model, mid) - margin(mid)[0] - sens >= 0.0:
+        if _mean(model, mid) - margin(mid)[0] - sens >= 0.0:
             lo = mid
         else:
             hi = mid

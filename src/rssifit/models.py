@@ -177,8 +177,15 @@ def two_ray_rx(model: TwoRayModel, d: float) -> float:
 
 def predict_mean_rss(model: ShadowedPathLossModel, d: float) -> float:
     """Mean RSS in dBm at distance d (the fading term at its zero mean)."""
-    d = positive("d", d)
-    return model.rss_d0 - 10.0 * model.eta * math.log10(d / model.d0)
+    return _mean(model, positive("d", d))
+
+
+def _mean(model: ShadowedPathLossModel, d: float) -> float:
+    """:func:`predict_mean_rss` for a d already known finite and > 0."""
+    try:
+        return model.rss_d0 - 10.0 * model.eta * math.log10(d / model.d0)
+    except ValueError:  # d / d0 underflowed to 0
+        raise DataError(f"d {d!r} m is too small beside d0 {model.d0!r} m") from None
 
 
 def sigma_at(sigma: SigmaModel, d: float) -> SigmaValue:
@@ -189,9 +196,13 @@ def sigma_at(sigma: SigmaModel, d: float) -> SigmaValue:
     :class:`ConstantSigma` never clamps. A fitted quartic can dip below zero;
     a negative value is refused with a :class:`NumericalError` naming d.
     """
-    d = positive("d", d)
+    return SigmaValue(*_sigma(sigma, positive("d", d)))
+
+
+def _sigma(sigma: SigmaModel, d: float) -> tuple[float, bool]:
+    """:func:`sigma_at` for a d already known finite and > 0."""
     if isinstance(sigma, ConstantSigma):
-        return SigmaValue(sigma.value, False)
+        return sigma.value, False
     dc = sigma.d_min if d < sigma.d_min else sigma.d_max if d > sigma.d_max else d
     value = (((sigma.a * dc + sigma.b) * dc + sigma.c) * dc + sigma.e) * dc + sigma.f
     if value < 0:
@@ -199,7 +210,7 @@ def sigma_at(sigma: SigmaModel, d: float) -> SigmaValue:
             f"fitted sigma is negative ({value:.4g} dB) at d = {d:.4g} m; "
             "the sigma model is invalid there"
         )
-    return SigmaValue(value, dc != d)
+    return value, dc != d
 
 
 def mean_rss_curve(model: ShadowedPathLossModel, d: np.ndarray) -> np.ndarray:

@@ -349,7 +349,7 @@ def polyfit_quartic(d: object, y: object) -> PolynomialFit:
     dv, yv = _pair(d, y, "d and y")
     if not (np.isfinite(dv).all() and np.isfinite(yv).all()):
         raise DataError("d and y must be finite")
-    n_distinct = np.unique(dv).size
+    n_distinct = len(set(dv.tolist()))  # dv is finite, so no nan is counted apart
     if n_distinct < 6:
         raise InsufficientDataError(
             f"quartic fit needs at least 6 distinct distances, got {n_distinct}"

@@ -605,6 +605,25 @@ def test_localize_rejects_a_bad_level_for_every_model(capsys, tmp_path):
         _one_error_line(out, err, "error: level must be in (0, 1), got 7.0")
 
 
+def test_localize_refuses_a_level_whose_quantile_rounds_to_one(capsys, tmp_path):
+    model = _model_file(tmp_path, ConstantSigma(2.0))
+    level = "0.9999999999999999"  # (1 + level) / 2 rounds to 1
+    argv = ["localize", "--model", model, "--rss", "-70", "--level", level]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    _one_error_line(out, err, f"error: level {level} is too close to 1")
+
+
+def test_a_distance_whose_ratio_to_d0_underflows_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "far.json"
+    far = ShadowedPathLossModel(1e10, -40.0, 2.0, sigma=ConstantSigma(2.0))
+    path.write_bytes(model_to_json(far))
+    for argv in (["predict", "--d"], ["simulate", "--samples", "2", "--distances"]):
+        rc, out, err = run(capsys, *argv, "1e-320", "--model", str(path))
+        assert rc == 1
+        _one_error_line(out, err, "error: d 1e-320 m is too small beside d0 1")
+
+
 _DISTANCE_SPECS = (
     "1:5", "2:4:0.5", "1:1e4", "1:1e12:1e-9", "1:inf", "5:1", "nan:5", "0:3", "1:5:0",
     "1,2.5,7", "1,-1", "1,1e308", "1,4.9e-324", "1,nan", "x", "",

@@ -1,5 +1,6 @@
 """Model inversion, confidence intervals, and range planning."""
 
+import dataclasses
 import math
 from statistics import NormalDist
 
@@ -13,6 +14,7 @@ from rssifit import (
     DataError,
     LinkConstants,
     NumericalError,
+    RssifitError,
     ShadowedPathLossModel,
     SigmaPolynomial,
     confidence_interval,
@@ -21,7 +23,13 @@ from rssifit import (
     predict_mean_rss,
     sigma_at,
 )
-from rssifit.localization import RANGE_SEARCH_MAX, RANGE_TOLERANCE, LinkPlan
+from rssifit.localization import (
+    RANGE_SEARCH_MAX,
+    RANGE_TOLERANCE,
+    LinkPlan,
+    LocalizationEstimate,
+)
+from rssifit.models import mean_rss_curve, sigma_curve
 
 
 def model(eta=2.0, rss_d0=-40.0, d0=1.0, sigma=None):
@@ -326,3 +334,153 @@ def test_uninvertible_endpoint_error_names_the_reading():
     # rss + z*sigma = 7467 dBm underflows the distance to 0
     with pytest.raises(DataError, match="lower endpoint .* rss 6000.0 dBm"):
         confidence_interval(m, 6000.0, level=0.999999)
+
+
+def test_a_level_whose_quantile_rounds_to_one_is_a_data_error():
+    m = model(sigma=ConstantSigma(2.0))
+    # (1 + level) / 2 rounds to 1.0, which has no normal quantile
+    with pytest.raises(DataError, match="level 0.9999999999999999 is too close to 1"):
+        confidence_interval(m, -60.0, level=0.9999999999999999)
+    # one float lower, (1 + level) / 2 is below 1 and the interval exists
+    level = 0.9999999999999998
+    z = NormalDist().inv_cdf((1.0 + level) / 2.0)
+    est = confidence_interval(m, -60.0, level=level)
+    assert est.d_lo == estimate_distance(m, -60.0 + z * 2.0)
+    assert est.d_hi == estimate_distance(m, -60.0 - z * 2.0)
+
+
+def public_interval(m, rss, level):
+    """confidence_interval through public calls and the public constructor."""
+    z = NormalDist().inv_cdf((1.0 + level) / 2.0)
+    d_hat = estimate_distance(m, rss)
+    sigma, clamped = sigma_at(m.sigma, d_hat)
+    d_lo = estimate_distance(m, rss + z * sigma)
+    d_hi = estimate_distance(m, rss - z * sigma)
+    return LocalizationEstimate(d_hat, d_lo, d_hi, level, sigma, clamped)
+
+
+def wide_quartics():
+    """Quartic sigmas that may dip below zero or overflow far out."""
+    coefficient = st.floats(min_value=-1e3, max_value=1e3)
+    return st.builds(
+        SigmaPolynomial,
+        a=coefficient, b=coefficient, c=coefficient, e=coefficient, f=coefficient,
+        d_min=st.floats(min_value=1e-3, max_value=5.0),
+        d_max=st.floats(min_value=6.0, max_value=1e80),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    eta=st.floats(min_value=-0.5, max_value=8.0),
+    rss_d0=st.floats(min_value=-120.0, max_value=0.0),
+    d0=st.floats(min_value=1e-3, max_value=1e3),
+    sigma=st.one_of(
+        st.none(),
+        st.builds(ConstantSigma, value=st.floats(min_value=0.0, max_value=400.0)),
+        quartics(-1.0),
+        quartics(0.0),
+        wide_quartics(),
+    ),
+    rss=st.one_of(
+        st.floats(min_value=-150.0, max_value=0.0),
+        st.integers(min_value=-150, max_value=0),
+        st.sampled_from((-1e4, 1e4, math.inf, math.nan)),
+    ),
+    level=st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.floats(min_value=0.5, max_value=0.999).map(np.float64),
+        st.sampled_from((0.95, 1e-17, 0.9999999999999998, 0.9999999999999999, 1.0)),
+    ),
+)
+def test_interval_equals_the_publicly_constructed_estimate(
+    eta, rss_d0, d0, sigma, rss, level
+):
+    # The private constructor skips the field checks that the steps before
+    # it imply; the public one, fed the same values, must agree exactly.
+    m = model(eta=eta, rss_d0=rss_d0, d0=d0, sigma=sigma)
+    try:
+        got = confidence_interval(m, rss, level=level)
+    except RssifitError as exc:
+        assert str(exc)
+        with pytest.raises(Exception) as want:
+            public_interval(m, rss, level)
+        if isinstance(want.value, RssifitError):
+            assert type(want.value) is type(exc)
+        return
+    want = public_interval(m, rss, level)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    fields = dataclasses.astuple(got)
+    assert [type(v) for v in fields] == [float] * 5 + [bool]
+    assert LocalizationEstimate(*fields) == got
+
+
+def public_bisection(m, constants, outage_z):
+    """max_range with its bisection through public predict_mean_rss/sigma_at.
+
+    The scan is the library's own; None when max_range must refuse it.
+    """
+    sens = constants.receiver_sensitivity
+    grid = np.geomspace(m.d0, RANGE_SEARCH_MAX, 4097)
+    with np.errstate(over="ignore", invalid="ignore"):
+        signal = mean_rss_curve(m, grid)
+        if outage_z != 0.0:
+            signal -= outage_z * sigma_curve(m.sigma, grid)
+        ok = np.flatnonzero(signal - sens >= 0.0)
+    if not ok.size or ok[-1] == grid.size - 1:
+        return None
+
+    def margin(d):
+        if outage_z == 0.0:
+            return 0.0, False
+        value, clamped = sigma_at(m.sigma, d)
+        return outage_z * value, clamped
+
+    lo, hi = float(grid[ok[-1]]), float(grid[ok[-1] + 1])
+    while hi - lo > 0.5 * RANGE_TOLERANCE:
+        mid = 0.5 * (lo + hi)
+        if predict_mean_rss(m, mid) - margin(mid)[0] - sens >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    margin_db, clamped = margin(lo)
+    return LinkPlan(lo, margin_db, outage_z, sens, clamped)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eta=st.floats(min_value=0.5, max_value=6.0, exclude_min=True, exclude_max=True),
+    rss_d0=st.floats(min_value=-70.0, max_value=-20.0),
+    d0=st.floats(min_value=0.1, max_value=10.0),
+    sigma=st.one_of(
+        st.builds(ConstantSigma, value=st.floats(min_value=0.0, max_value=15.0)),
+        quartics(-1.0),
+        quartics(0.0),
+    ),
+    gap=st.floats(min_value=0.01, max_value=90.0),
+    z=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
+)
+def test_max_range_equals_the_public_bisection_bit_for_bit(
+    eta, rss_d0, d0, sigma, gap, z
+):
+    m = model(eta=eta, rss_d0=rss_d0, d0=d0, sigma=sigma)
+    constants = LinkConstants(receiver_sensitivity=rss_d0 - gap)
+    got = outcome(max_range, m, constants, z)
+    want = outcome(public_bisection, m, constants, z)
+    if want is None or isinstance(want, Exception):
+        assert isinstance(got, (DataError, NumericalError))
+        if want is not None:
+            assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert got == want and repr(got) == repr(want)
+
+
+def test_private_constructor_refuses_a_disordered_interval_as_the_public_one():
+    fields = (10.0, 12.0, 30.0, 0.95, 2.0, False)  # d_lo above d_hat
+    with pytest.raises(DataError) as public:
+        LocalizationEstimate(*fields)
+    with pytest.raises(DataError) as private:
+        LocalizationEstimate._from_fields(*fields)
+    assert str(private.value) == str(public.value)
+    ordered = (10.0, 5.0, 30.0, 0.95, 2.0, False)
+    assert LocalizationEstimate._from_fields(*ordered) == LocalizationEstimate(*ordered)

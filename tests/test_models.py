@@ -185,3 +185,13 @@ def test_sigma_clamps_exactly_outside_its_domain(d):
     for x in (*_EDGES, d):
         assert sigma_at(_POLY, x).clamped == (not _POLY.d_min <= x <= _POLY.d_max)
         assert sigma_at(ConstantSigma(2.0), x) == (2.0, False)
+
+
+def test_a_distance_whose_ratio_to_d0_underflows_is_refused_by_name():
+    m = ShadowedPathLossModel(d0=1e10, rss_d0=-40.0, eta=2.0)
+    for d in (1e-320, 5e-324):
+        with pytest.raises(DataError, match=f"d {d!r} m .* d0 10000000000.0 m"):
+            predict_mean_rss(m, d)
+    # The same d beside a d0 of 1 m has a ratio float64 can hold.
+    near = ShadowedPathLossModel(d0=1.0, rss_d0=-40.0, eta=2.0)
+    assert predict_mean_rss(near, 1e-320) == pytest.approx(-40.0 + 20.0 * 320.0)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rssifit
 from rssifit import (
@@ -210,6 +212,24 @@ def test_quartic_needs_six_distinct_distances():
     with pytest.raises(InsufficientDataError):
         # six values but only five distinct
         polyfit_quartic([1.0, 2.0, 3.0, 4.0, 5.0, 5.0], [1.0] * 6)
+
+
+@given(
+    st.lists(
+        st.sampled_from((0.0, -0.0, 1.0, 2.0, 3.5, 5e-324, 7.0, 11.0, 1e3, -2.0)),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_quartic_counts_distinct_distances_as_np_unique_does(d):
+    # +0.0 and -0.0 are one distance, as np.unique counts them.
+    distinct = np.unique(np.array(d)).size
+    try:
+        polyfit_quartic(d, [1.0] * len(d))
+    except InsufficientDataError as exc:
+        assert str(exc).endswith(f"got {distinct}")
+    else:
+        assert distinct >= 6
 
 
 def test_polyval_horner_matches_numpy():
