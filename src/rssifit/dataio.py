@@ -10,14 +10,14 @@ Survey CSV  header ``site,distance_m,rssi_dbm``, one sample per row. A file
             holds one site. Loading pools rows by distance in order of first
             appearance, so a survey whose distances are distinct round-trips
             exactly; one with repeated distance rows reloads in the pooled
-            form. Three readers share the work. A well-formed file whose
-            numbers are all plain decimals (:func:`_decimals`) is read by a
-            byte-level kernel; a well-formed file with any other number (an
-            exponent, blanks, quotes, CR line ends, 17-digit samples) by
-            ``np.loadtxt``; anything else by a row loop over ``csv.reader``.
-            Results, error messages and line numbers are the row loop's
-            whichever reads the file. Saving reads the survey's arrays: the
-            site is quoted once and each distance formatted once.
+            form. Two readers share the work. A well-formed file, LF or CRLF,
+            whose numbers are all plain decimals (:func:`_decimals`, the
+            17-digit samples the writer emits included) is read by a
+            byte-level kernel; any other file (an exponent, blanks or quotes
+            around a number, a malformed record) by a row loop over
+            ``csv.reader``. Results, error messages and line numbers are the
+            row loop's whichever reads the file. Saving reads the survey's
+            arrays: the site is quoted once and each distance formatted once.
 
 Stats CSV   header ``distance_m,mean_dbm,sd_db,prr_pct,n``, one distance per
             row, mirroring the embedded survey tables. ``prr_pct`` may be
@@ -32,8 +32,8 @@ Model JSON  strict versioned document (``format_version`` 1). Unknown fields
             its key, a value out of range included.
 
 Every number, in a CSV field or a CLI argument, is read by
-:func:`parse_number` as ``np.loadtxt`` reads it, so ``1_0`` and non-ASCII
-digits are not numbers.
+:func:`parse_number`: blanks stripped, then ``float`` if the rest is ASCII
+and holds no ``_``, so ``1_0`` and non-ASCII digits are not numbers.
 
 A CSV file that is not UTF-8 (named by byte offset), or that the csv module
 cannot parse, such as a bare CR inside a line or a field over the csv field
@@ -229,16 +229,15 @@ _SURVEY_START = re.compile(
 def _survey_bulk(data: bytes, text: str) -> RssiSurvey | None:
     """Parse a well-formed survey (``data`` decoded as ``text``) in bulk.
 
-    Returns None whenever it cannot show that the file reads exactly as the
-    row loop reads it: another header spelling; a line that does not start
-    with the first row's site field, or that has a comma more or less than
-    that field and the two number columns; a line longer than the csv field
-    limit; anything ``loadtxt`` or :class:`RssiSurvey` refuses. A record
+    Returns None, and the row loop reads the file, whenever it cannot show
+    that the file reads exactly as the row loop reads it: another header
+    spelling; a line that does not start with the first row's site field,
+    that has a comma more or less than that field and the two number
+    columns, or that holds a CR anywhere but at its end; a line longer than
+    the csv field limit; a number that is not a plain decimal
+    (:func:`_decimals`); anything :class:`RssiSurvey` refuses. A record
     running over a line break would hold a quote or a comma of the next
-    line's site field in a number, which neither parser reads.
-
-    The numbers are read by :func:`_decimals` when every one is a plain
-    decimal, else by ``np.loadtxt``.
+    line's site field in a number, which the kernel does not read.
     """
     first = _SURVEY_START.match(text)
     limit = csv.field_size_limit()
@@ -247,32 +246,18 @@ def _survey_bulk(data: bytes, text: str) -> RssiSurvey | None:
     start, prefix = first.start(1), first.group(1)  # in bytes too: ASCII header
     mark = np.frombuffer(prefix.encode("utf-8"), np.uint8)
     commas = prefix.count(",") + 1
-    columns = []  # None once a number is not a plain decimal
+    crlf = b"\r" in data
+    columns = []
     for block in _blocks(data, start):
-        fields = _survey_fields(block, mark, commas, limit)
+        fields = _survey_fields(block, mark, commas, limit, crlf)
         if fields is None:
             return None
-        if columns is not None:
-            lo, comma, hi = fields
-            pair = _decimals(block, lo, comma), _decimals(block, comma + 1, hi)
-            if pair[0] is None or pair[1] is None:
-                columns = None
-            else:
-                columns.append(pair)
-    if columns is not None:
-        distance, rssi = (np.concatenate(c) for c in zip(*columns))
-    else:
-        body = io.BytesIO(data)
-        body.seek(start)
-        try:
-            # Lines of bytes, decoded one at a time: an io.StringIO would
-            # first copy the whole text at four bytes per character.
-            distance, rssi = np.loadtxt(
-                body, encoding="utf-8", delimiter=",", comments=None,
-                quotechar='"', usecols=(1, 2), unpack=True, ndmin=2,
-            )
-        except ValueError:
+        lo, comma, hi = fields
+        pair = _decimals(block, lo, comma), _decimals(block, comma + 1, hi)
+        if pair[0] is None or pair[1] is None:
             return None
+        columns.append(pair)
+    distance, rssi = (np.concatenate(c) for c in zip(*columns))
     site = prefix[:-1]
     if site.startswith('"'):
         site = site[1:-1].replace('""', '"')
@@ -301,11 +286,14 @@ def _blocks(data: bytes, start: int):
         start = cut
 
 
-def _survey_fields(block, mark, commas: int, limit: int):
+def _survey_fields(block, mark, commas: int, limit: int, crlf: bool):
     """The number fields of a block of survey lines: each line's first
-    distance byte, the comma after the distance and the line's end. None
-    unless every line starts with the bytes ``mark`` (the site field and its
-    comma), holds ``commas`` commas and at most ``limit`` bytes."""
+    distance byte, the comma after the distance and the line's end, before
+    a CR that ends it where ``crlf`` (the file holds a CR). None unless every
+    line starts with the bytes ``mark`` (the site field and its comma), holds
+    ``commas`` commas and at most ``limit`` bytes. Any other CR is inside the
+    site field, which then differs from ``mark``, or inside a number, which
+    :func:`_decimals` refuses."""
     breaks = np.flatnonzero((block == 44) | (block == 10))
     kinds = block[breaks]
     if block[-1] != 10:  # the file's last line, with no line break
@@ -324,36 +312,39 @@ def _survey_fields(block, mark, commas: int, limit: int):
     for j, byte in enumerate(mark.tolist()):
         if (block[starts + j] != byte).any():
             return None
+    if crlf:  # ends - 1 >= 0: a line holds ``mark``
+        ends = ends - (block[ends - 1] == 13)
     return starts + mark.size, breaks[:, -2], ends
 
 
 # Exact powers of ten, from Python ints: 10**k for k <= 22 is a double.
-_POWERS = np.array([float(10**k) for k in range(18)])
+_POWERS = np.array([float(10**k) for k in range(19)])
 
 
 def _decimals(block, lo, hi):
     """The numbers in ``block[lo:hi]``, each ``[+-]digits[.digits]`` of at
-    most 18 bytes whose digits read as an integer below 2**53; None when any
-    field is not.
+    most 19 bytes after the sign, to ``float()``'s bits; None when any field
+    is not.
 
-    Such a field is m / 10**k with m and 10**k exact doubles, so one division
-    rounds it correctly, as ``np.loadtxt``'s ``strtod`` does (Clinger, *How
-    to Read Floating Point Numbers Accurately*, PLDI 1990).
+    A field is m / 10**k for its digits m, below 10**19, and k <= 18. The
+    digits are summed exactly: in float64 while no field has more than 15
+    bytes after its sign, else in uint64. Below 2**53, m and 10**k are exact
+    doubles, so one division rounds correctly (Clinger, *How to Read
+    Floating Point Numbers Accurately*, PLDI 1990); a larger m is divided as
+    Python ints, whose true division rounds correctly too.
     """
-    size = hi - lo
-    if size.min() < 1 or size.max() > 18:
-        return None
-    sign = block[lo]
+    sign = block.take(lo, mode="clip")  # an empty last field reads its comma
     lo = lo + ((sign == 43) | (sign == 45))
     size = hi - lo
-    if size.min() < 1:
+    if size.min() < 1 or size.max() > 19:
         return None
     # Horner's rule over the fields right-aligned, column by column: column
     # j holds the byte ``wide - j`` before each field's end, or, ahead of a
     # shorter field, a zero (its index, at worst negative, is read and
     # discarded). The point's column leaves the mantissa as it is.
     wide = int(size.max())
-    mantissa = np.zeros(size.size)
+    kind = np.float64 if wide <= 15 else np.uint64
+    ten, mantissa = kind(10), np.zeros(size.size, kind)
     scale = None  # the fraction digits, once any field has a point
     for j in range(wide):
         digit = block[hi - (wide - j)] - np.uint8(48)  # below "0" wraps
@@ -363,7 +354,7 @@ def _decimals(block, lo, hi):
         if not point.any():
             if digit.max() > 9:
                 return None
-            mantissa = mantissa * 10.0 + digit
+            mantissa = mantissa * ten + digit
             continue
         if (
             ((digit > 9) & ~point).any()
@@ -373,10 +364,12 @@ def _decimals(block, lo, hi):
         ):
             return None
         scale = np.where(point, wide - 1 - j, 0 if scale is None else scale)
-        mantissa = np.where(point, mantissa, mantissa * 10.0 + digit)
-    if mantissa.max() >= 2.0**53:
-        return None
-    value = mantissa if scale is None else mantissa / _POWERS[scale]
+        mantissa = np.where(point, mantissa, mantissa * ten + digit)
+    value = np.asarray(mantissa, float) if scale is None else mantissa / _POWERS[scale]
+    if kind is np.uint64:
+        big = np.flatnonzero(mantissa >= np.uint64(2**53))
+        k = np.zeros_like(big) if scale is None else scale[big]
+        value[big] = [m / 10**e for m, e in zip(mantissa[big].tolist(), k.tolist())]
     return np.where(sign == 45, -value, value)
 
 

@@ -183,9 +183,13 @@ def predict_mean_rss(model: ShadowedPathLossModel, d: float) -> float:
 def _mean(model: ShadowedPathLossModel, d: float) -> float:
     """:func:`predict_mean_rss` for a d already known finite and > 0."""
     try:
-        return model.rss_d0 - 10.0 * model.eta * math.log10(d / model.d0)
+        mean = model.rss_d0 - 10.0 * model.eta * math.log10(d / model.d0)
     except ValueError:  # d / d0 underflowed to 0
         raise DataError(f"d {d!r} m is too small beside d0 {model.d0!r} m") from None
+    if mean - mean != 0.0:  # nan or an infinity: 10 * eta overflowed, say
+        raise DataError(f"mean RSS at d {d!r} m overflows (rss_d0 {model.rss_d0!r} "
+                        f"dBm, eta {model.eta!r})")
+    return mean
 
 
 def sigma_at(sigma: SigmaModel, d: float) -> SigmaValue:

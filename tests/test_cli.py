@@ -624,6 +624,17 @@ def test_a_distance_whose_ratio_to_d0_underflows_is_one_error_line(capsys, tmp_p
         _one_error_line(out, err, "error: d 1e-320 m is too small beside d0 1")
 
 
+def test_a_mean_that_overflows_is_one_error_line(capsys, tmp_path):
+    # eta = 1e308 once printed "mean_dbm": NaN at d0 and -Infinity beyond it.
+    path = tmp_path / "huge.json"
+    path.write_bytes(model_to_json(ShadowedPathLossModel(1.0, -40.0, 1e308)))
+    for d in ("1", "10"):
+        argv = ["predict", "--model", str(path), "--d", d, "--format", "json"]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and "NaN" not in out and "Infinity" not in out
+        _one_error_line(out, err, f"error: mean RSS at d {float(d)!r} m overflows")
+
+
 _DISTANCE_SPECS = (
     "1:5", "2:4:0.5", "1:1e4", "1:1e12:1e-9", "1:inf", "5:1", "nan:5", "0:3", "1:5:0",
     "1,2.5,7", "1,-1", "1,1e308", "1,4.9e-324", "1,nan", "x", "",

@@ -2,11 +2,12 @@
 
 Each case runs ``main()`` in-process and records its exit code, stdout,
 stderr and every file it wrote. ``tests/cli_golden.json`` holds those
-records with every numeric token replaced by ``#``: the sigma fit goes
-through BLAS and numpy's SIMD ``log10``, whose last bits differ between
-machines and numpy versions, so only the layout (keys, labels, columns,
-line order, exit codes, which stream) is pinned here. Values are pinned by
-the other CLI tests and the acceptance criteria.
+records with every numeric token replaced by ``#``: the trend fit, and
+every output built on it, reads distances through numpy's SIMD ``log10``
+(the fits run no BLAS), whose last bits differ between machines and numpy
+versions, so only the layout (keys, labels, columns, line order, exit
+codes, which stream) is pinned here. Values are pinned by the other CLI
+tests and the acceptance criteria.
 
 To re-record after an intended layout change, run this file as a script
 with ``src`` on ``PYTHONPATH``; it rewrites ``tests/cli_golden.json``.

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rssifit import (
@@ -22,6 +22,7 @@ from rssifit import (
     RssiSurvey,
     ShadowedPathLossModel,
     SigmaPolynomial,
+    SimulationSpec,
     SurveyStats,
     embedded_dataset,
     load_stats_csv,
@@ -30,6 +31,7 @@ from rssifit import (
     model_to_json,
     save_stats_csv,
     save_survey_csv,
+    simulate_survey,
 )
 from rssifit import dataio
 
@@ -472,7 +474,8 @@ def _outcome(load, data: bytes):
 # Numbers both parsers read alike, then ones where they differ or that the
 # row loop rejects.
 GOOD_NUMBERS = ("1", "2.0", "-51.25", "-0", "+1", ".5", "1.", "1E-2", " 1",
-                "1 ", "\t2", "\xa01", '"3"', '" -2"')
+                "1 ", "\t2", "\xa01", '"3"', '" -2"', "-71.23456789012345",
+                "-105.12345678901234", "-0.12345678901234567", "9007199254740993")
 ODD_NUMBERS = ("0", "-1", "1e400", "-1e400", "1e-400", "nan", "-nan", "inf",
                "Infinity", "-inf", "1_0", "\u0661", "1\x1c", "\x1f1", "1\x00",
                '"3"x', "0x10", "1e", "", "abc")
@@ -550,7 +553,7 @@ def raw_survey_csv(draw):
 def test_load_survey_csv_matches_row_loop(data):
     expected = _outcome(reference_load_survey_csv, data)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # loadtxt warns on a body with no data
+        warnings.simplefilter("error")  # no reader may warn, on any file
         got = _outcome(load_survey_csv, data)
     if expected[0] in (csv.Error, UnicodeDecodeError):
         # These escaped the old loader; they now cross as FormatError.
@@ -568,33 +571,25 @@ def test_well_formed_surveys_never_fall_back_to_the_row_loop(monkeypatch):
     def row_loop(text):
         raise AssertionError("well-formed survey fell back to the row loop")
 
+    # Plain decimals with LF or CRLF line ends, under a bare or a quoted
+    # site, and the writer's own 17-digit samples are all the kernel's.
     lines = [f"{(k % 20) + 1},{-40 - k % 53}" for k in range(10_000)]
-    pads = (" ", "\xa0", "\x1c")
-    padded = [
-        f"{pads[k % 3]}{(k % 20) + 1},{-40 - k % 53}{pads[k % 2]}"
-        for k in range(10_000)
-    ]
+    model = ShadowedPathLossModel(1.0, -45.0, 2.3, ConstantSigma(4.0))
+    spec = SimulationSpec(model, tuple(range(1, 21)), 500, seed=11)
     files = [
         "site,distance_m,rssi_dbm\n" + "".join(f"A,{l}\n" for l in lines),
-        "site,distance_m,rssi_dbm\n" + "".join(f"A,{l}\n" for l in padded),
         "site,distance_m,rssi_dbm\r\n" + "".join(f"A,{l}\r\n" for l in lines),
         "site,distance_m,rssi_dbm\n"
         + "".join(f'"mine, ""2""",{l}\n' for l in lines[:-1])
         + f'"mine, ""2""",{lines[-1]}',
+        save_survey_csv(simulate_survey(spec)).decode(),
     ]
+    samples = re.findall(r"([0-9]+)\.([0-9]+)$", files[-1], re.M)
+    assert max(len((a + b).lstrip("0")) for a, b in samples) == 17
     expected = [reference_load_survey_csv(f.encode()) for f in files]
     monkeypatch.setattr(dataio, "_survey_rows", row_loop)
     for text, survey in zip(files, expected):
         assert load_survey_csv(text.encode()) == survey
-
-    def loadtxt(*args, **kwargs):
-        raise AssertionError("plain decimals went to np.loadtxt")
-
-    # Padded numbers and CR line ends are np.loadtxt's; plain decimals,
-    # under a bare or a quoted site, are the kernel's alone.
-    monkeypatch.setattr(np, "loadtxt", loadtxt)
-    for k in (0, 3):
-        assert load_survey_csv(files[k].encode()) == expected[k]
     first_row = tuple(float(-40 - k % 53) for k in range(0, 10_000, 20))
     assert expected[0].rows[0] == (1.0, first_row)
     assert expected[1] == expected[0]
@@ -633,6 +628,25 @@ def test_undecodable_bytes_and_stray_carriage_returns_are_format_errors():
             load(header + row[:2] + b"\xff" + row[2:])
         with pytest.raises(FormatError, match=r"^line 3: malformed CSV record"):
             load(header + row + row.replace(b",", b"\r,", 1))
+
+
+def test_a_carriage_return_anywhere_reads_as_the_row_loop_reads_it():
+    # The kernel drops a CR that ends a line; any other CR falls in the site
+    # field or a number, which sends the file to the row loop.
+    base = 'site,distance_m,rssi_dbm\n"a,b",1,-50\n"a,b",2.5,-51.25\n"a,b",1,-52'
+    kernel = 0
+    for text in (base, base + "\n", base.replace("\n", "\r\n") + "\r\n"):
+        for k in range(len(text) + 1):
+            for cr in ("\r", "\r\n", "\r\r"):
+                data = (text[:k] + cr + text[k:]).encode()
+                expected = _outcome(reference_load_survey_csv, data)
+                got = _outcome(load_survey_csv, data)
+                if expected[0] is csv.Error:
+                    assert got[0] is FormatError
+                else:
+                    assert got == expected
+                kernel += dataio._survey_bulk(data, data.decode()) is not None
+    assert kernel >= 5
 
 
 # -- the one number rule ---------------------------------------------------
@@ -691,18 +705,15 @@ def test_spellings_only_python_reads_are_rejected_by_name():
         load_stats_csv(stats)
 
 
-# -- the plain-decimal kernel against np.loadtxt -----------------------------
-# The kernel reads ``[+-]digits[.digits]`` of at most 18 bytes with digits
-# below 2**53 and refuses anything else; what it reads, it reads to
-# np.loadtxt's bits.
+# -- the plain-decimal kernel against float() -------------------------------
+# The kernel reads ``[+-]digits[.digits]`` of at most 19 bytes after the sign,
+# whatever its digits, and refuses anything else; what it reads, it reads to
+# float()'s bits.
 _PLAIN = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?", re.ASCII)
 
 
 def _plain(field: str) -> bool:
-    return bool(
-        _PLAIN.fullmatch(field) and len(field) <= 18
-        and int(field.lstrip("+-").replace(".", "")) < 2**53
-    )
+    return bool(_PLAIN.fullmatch(field)) and len(field.lstrip("+-")) <= 19
 
 
 def _kernel(fields) -> list[str] | None:
@@ -713,32 +724,59 @@ def _kernel(fields) -> list[str] | None:
     return None if values is None else list(map(repr, values.tolist()))
 
 
+def _pointed(sign: str, digits: int, point: int) -> str:
+    """``digits`` with a point ``point`` places from the right (0: none)."""
+    text = str(digits)
+    if 0 < point < len(text):
+        text = text[:-point] + "." + text[-point:]
+    return sign + text
+
+
 _DIGITS = st.text("0123456789", min_size=1, max_size=19)
+_SIGNS = st.sampled_from(("", "", "+", "-"))
 kernel_fields = st.one_of(
     st.builds(
         lambda sign, whole, fraction: sign + whole + fraction,
-        st.sampled_from(("", "", "+", "-")),
+        _SIGNS,
         _DIGITS,
         st.one_of(st.just(""), _DIGITS.map(".".__add__)),
     ),
+    # Mantissas of 16 to 20 digits, around and far above 2**53.
+    st.builds(
+        _pointed,
+        _SIGNS,
+        st.one_of(st.integers(2**53 - 4, 2**53 + 4),
+                  st.integers(10**15, 10**20 - 1)),
+        st.integers(0, 19),
+    ),
     st.sampled_from((
-        "-0", "+0.0", "0", "-0.000", "007", "-007.50", "9007199254740991",
-        "9007199254740992", "-9007199254740993", "900719925474099.1",
-        "0.000000000000001", "0.0000000000000001", "-0.000000000000001",
-        "12345678901234567", "123456789012345678", "-1234567890123456.",
-        "1.", ".5", "-", "+", "", "1.2.3", "1e3", "1E-2", "--1", "+-1", "1-",
-        " 1", "1 ", "\xa01", "\u0661", "1_0", "0x1f", "nan", "inf", "-.5",
+        "-0", "+0.0", "0", "-0.000", "007", "-007.50", "0000000000000000007",
+        "-000000000000000000.5", "9007199254740991", "9007199254740992",
+        "-9007199254740993", "9007199254740993", "18014398509481985",
+        "9999999999999999999", "-9999999999999999999", "+999999999.999999999",
+        "12345678901234567890", "-1234567890.123456789", "00000000000000000000",
+        "900719925474099.1", "0.000000000000001", "0.0000000000000001",
+        "-0.000000000000001", "12345678901234567", "123456789012345678",
+        "-71.23456789012345", "-105.12345678901234", "-0.12345678901234567",
+        "-1234567890123456.", "1.", ".5", "-", "+", "", "1.2.3", "1e3", "1E-2",
+        "--1", "+-1", "1-", " 1", "1 ", "\xa01", "\u0661", "1_0", "0x1f", "nan",
+        "inf", "-.5",
     )),
-    st.text("0123456789+-.e ", max_size=20),
+    st.text("0123456789+-.e ", max_size=21),
 )
 
 
 @settings(max_examples=1500, deadline=None)
 @given(st.lists(kernel_fields, min_size=1, max_size=6))
-def test_kernel_reads_plain_decimals_as_loadtxt_and_refuses_the_rest(fields):
+@example(["9007199254740991", "9007199254740992", "9007199254740993",
+          "18014398509481985", "9999999999999999999", "-0.000",
+          "0000000000000000007", "-71.23456789012345"])
+@example(["12345678901234567890"])
+@example(["1", "-1234567890.123456789"])
+def test_kernel_reads_plain_decimals_as_float_and_refuses_the_rest(fields):
     got = _kernel(fields)
     if all(map(_plain, fields)):
-        assert got == [_loadtxt_number(f) for f in fields]
+        assert got == [repr(float(f)) for f in fields]
     else:
         assert got is None
 
@@ -748,12 +786,13 @@ def test_kernel_reads_plain_decimals_as_loadtxt_and_refuses_the_rest(fields):
     "zero-distance",
 ))
 def test_multi_block_surveys_read_as_the_row_loop(monkeypatch, defect):
-    # Blocks of 40 bytes hold two lines of about 19 bytes, and the 48-byte
-    # line makes a longer block of its own; the last line has no line break.
+    # Blocks of 40 bytes hold two lines of about 19 bytes, and the longer
+    # lines make blocks of their own; the last line has no line break.
     monkeypatch.setattr(dataio, "_BLOCK", 40)
     site = '"a, ""b"""'
     rows = [f"{site},{1 + k % 7}.5,{-40 - k % 53}" for k in range(60)]
     rows[21] = f"{site},0001234567890.125,-1234567890123.25"
+    rows[33] = f"{site},12.345678901234567,-105.12345678901234"  # 17 digits
     rows[-1] = {
         "none": rows[-1],
         "letter": f"{site},2,-5x",
@@ -767,7 +806,6 @@ def test_multi_block_surveys_read_as_the_row_loop(monkeypatch, defect):
     data = ("site,distance_m,rssi_dbm\n" + "\n".join(rows)).encode()
     expected = _outcome(reference_load_survey_csv, data)
     if defect == "none":  # the kernel reads it all
-        monkeypatch.setattr(np, "loadtxt", None)
         monkeypatch.setattr(dataio, "_survey_rows", None)
     assert _outcome(load_survey_csv, data) == expected
 

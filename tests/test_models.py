@@ -195,3 +195,16 @@ def test_a_distance_whose_ratio_to_d0_underflows_is_refused_by_name():
     # The same d beside a d0 of 1 m has a ratio float64 can hold.
     near = ShadowedPathLossModel(d0=1.0, rss_d0=-40.0, eta=2.0)
     assert predict_mean_rss(near, 1e-320) == pytest.approx(-40.0 + 20.0 * 320.0)
+
+
+def test_a_mean_that_overflows_is_refused_by_name():
+    # 10 * eta overflows: inf * log10(1) is nan at d0, -inf beyond it.
+    huge = ShadowedPathLossModel(d0=1.0, rss_d0=-40.0, eta=1e308)
+    for d in (1.0, 10.0, 0.1):
+        with pytest.raises(DataError, match=f"mean RSS at d {d!r} m overflows"):
+            predict_mean_rss(huge, d)
+    # A finite mean of any size is still returned; one step beyond, refused.
+    big = ShadowedPathLossModel(d0=1.0, rss_d0=-40.0, eta=1e307)
+    assert predict_mean_rss(big, 10.0) == -40.0 - 1e308
+    with pytest.raises(DataError, match="overflows"):
+        predict_mean_rss(big, 100.0)
