@@ -27,11 +27,11 @@ from .errors import DataError, DegenerateDataError, InsufficientDataError
 from .errors import integer, nonnegative, one_of, positive, real, settle
 from .models import ShadowedPathLossModel, SigmaPolynomial, predict_mean_rss
 from .numerics import (
-    DenseSystem,
     SolveDiagnostics,
+    _moment_system,
     _pair,
+    _power_sums,
     _squares,
-    ols_line,
     polyfit_quartic,
     polyval,
     solve_dense,
@@ -100,7 +100,7 @@ class FitReport:
     to rounding: the fit evaluates its trend with numpy, the target with
     :func:`predict_mean_rss`, in another order and another log10. On
     the embedded tables (both intercept modes, d0 of 1, 2 and 5 m) they
-    differ by at most 7.6e-15 dB, in 0 to 4 of 20 rows.
+    differ by at most 7.55e-15 dB, in 0 to 3 of 20 rows.
     """
 
     model: ShadowedPathLossModel
@@ -144,33 +144,19 @@ def fit_path_loss(
             f"d0 = {d0!r} takes d/d0 outside the float range for these "
             "distances"
         )
-
-    if intercept_mode == "free":
-        line = ols_line(x, y)
-        eta = -line.slope
-        rss_d0 = line.intercept
-        diagnostics = line.diagnostics
-        n_params = 2
-    else:
-        # The row nearest d0; of two as near, argmin takes the smaller distance.
-        rss_d0 = y[np.argmin(np.abs(d - d0))].item()
-        sxx = float(np.sum(x * x))
-        if sxx == 0.0:
-            raise DegenerateDataError("all distances equal d0; slope is undefined")
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            sxy = float(np.sum(x * (y - rss_d0)))
-        if not math.isfinite(sxy):
-            raise DataError(
-                "mean RSS values are too large: a normal-equation sum overflows"
-            )
-        # 1x1 normal equation, routed through the shared solver so anchored
-        # fits report pivot/condition diagnostics like free ones.
-        coeffs, diagnostics = solve_dense(DenseSystem([[sxx]], [sxy]))
-        eta = -float(coeffs[0])
-        n_params = 1
-
+    free = intercept_mode == "free"
+    # Anchored, rss_d0 is the mean of the row nearest d0 (of two as near,
+    # argmin takes the smaller distance) and only the slope is solved for.
+    rss_d0 = 0.0 if free else y[np.argmin(np.abs(d - d0))].item()
+    with np.errstate(over="ignore"):  # an infinite difference is refused below
+        target = y - rss_d0
+    powers = (1, 0) if free else (1,)
+    coeffs, diagnostics = solve_dense(_moment_system(x, target, powers, "x and y"))
+    eta = -coeffs[0].item()
+    if free:
+        rss_d0 = coeffs[1].item()
     fitted = rss_d0 - eta * x
-    gof = goodness_of_fit(y, fitted, n_params=n_params)
+    gof = goodness_of_fit(y, fitted, n_params=len(powers))
     residuals = tuple((y - fitted).tolist())
     y_values = tuple(r / RESIDUAL_Z for r in residuals)
     model = ShadowedPathLossModel(d0=d0, rss_d0=rss_d0, eta=eta)
@@ -219,8 +205,8 @@ def sigma_target(
 
 
 def _weighted_sums(d: np.ndarray, resid: np.ndarray) -> tuple[float, ...]:
-    """sum(resid * d^k) for k = 0..4, lowest power first."""
-    return tuple(float(np.sum(resid * d**k)) for k in range(5))
+    """sum(resid * d^k) for k = 0..4, lowest power first, as the fit sums."""
+    return tuple(_power_sums(d, 4, resid))
 
 
 @dataclass(frozen=True)

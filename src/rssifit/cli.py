@@ -393,7 +393,7 @@ def _cmd_datasets(args):
     datasets = [
         {
             "name": r.name,
-            "n_rows": 0 if r.stats is None else len(r.stats.rows),
+            "n_rows": 0 if r.stats is None else r.stats.distance_m.size,
             "range_test_m": None if r.range_test is None else list(r.range_test),
             "provenance": r.provenance,
         }

@@ -1,27 +1,29 @@
 """Dense linear solves and the least-squares fits built on them.
 
 The calibration fits are deliberately solved through explicit normal
-equations: the straight-line RSS trend becomes a 2x2 system and the quartic
-sigma polynomial a 5x5 moment system in raw powers of distance (d^8 down to
-d^0). The solver is Gaussian elimination with partial pivoting, written out
-rather than delegated, so the pivot sequence and failure behaviour are part
-of the tested contract. A QR orthogonal factorization handles the rare
+equations: the RSS trend a 2x2 system (1x1 anchored), the quartic sigma
+polynomial a 5x5 moment system in raw powers of distance (d^8 down to d^0).
+One power-sum builder makes all three and the quartic's stationarity sums.
+The solver is Gaussian elimination with partial pivoting, written out rather
+than delegated, so the pivot sequence and failure behaviour are part of the
+tested contract. A QR orthogonal factorization handles the rare
 ill-conditioned system.
 
-The elimination and the moment sums run in plain float64 operations in one
+The elimination and the power sums run in plain float64 operations in one
 documented order: elimination and back substitution in Python floats (the
 first row with the largest |a[i][k]| pivots; each back-substitution sum runs
-left to right), the powers of d as repeated products, and every moment
-summed over the rows in row order. None of it calls BLAS, whose kernels
-(and their use of fused multiply-add) change with the CPU, so a fit gives the
-same bits whatever BLAS build numpy runs on. The QR fallback and the
-condition estimate of systems larger than 2x2 still call LAPACK.
+left to right), the powers of d as repeated products, not np.power, and
+every sum over the rows in row order. None of it calls BLAS or a SIMD power
+kernel, both of which change with the CPU, so the fits and the stationarity
+sums give the same bits whatever BLAS build and CPU numpy runs on. The QR
+fallback and the condition estimate of systems larger than 2x2 still call
+LAPACK.
 
 Why this is safe here: the moment matrix of d = 1..20 has a condition
 estimate around 2.3e11. That sounds alarming, but the quantity the callers
 check is the stationarity of the normal equations (sum of resid * d^k per
-power k), and partial pivoting in float64 drives those sums below 1e-8 on the
-embedded surveys, comfortably inside the 1e-6 acceptance bound. Iterative
+power k), and partial pivoting in float64 drives those sums to 1.4e-8 or less
+on the embedded surveys, comfortably inside the 1e-6 acceptance bound. Iterative
 refinement was tried and removed: one refinement step made the stationarity
 sums slightly worse (residual rounding dominates at this scale). The QR path
 exists for condition estimates beyond 1e12, where elimination through the
@@ -239,6 +241,54 @@ def _squares(observed: np.ndarray, fitted: np.ndarray) -> tuple[float, float]:
     return (0.0 if sst == 0.0 else 1.0 - sse / sst), sse
 
 
+def _out_of_range(d: np.ndarray, reason: str) -> DataError:
+    span = f"distances {d.min():g} to {d.max():g} are out of range"
+    return DataError(f"{span} for a polynomial fit in float64: {reason}")
+
+
+def _power_sums(d: np.ndarray, top: int, y: np.ndarray | None = None) -> list[float]:
+    """sum(y * d^k) for k = 0..top (top >= 1), or sum(d^k) without y.
+
+    d^k is a repeated product (d, d*d, ...) and each sum runs over the rows
+    in row order. A sum that overflows is left inf or nan for the caller.
+    """
+    # Column k is d^k; a sum over axis 0 of two or more columns adds whole
+    # rows one after another (numpy sums one contiguous column pairwise).
+    powers = np.ones((d.size, top + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply.accumulate(
+            np.repeat(d[:, np.newaxis], top, axis=1), axis=1, out=powers[:, 1:]
+        )
+        if y is not None:
+            powers *= y[:, np.newaxis]
+        return powers.sum(axis=0).tolist()
+
+
+_QUARTIC = (4, 3, 2, 1, 0)  # the quartic's powers of d, highest first
+
+
+def _moment_system(
+    d: np.ndarray, y: np.ndarray, powers: tuple[int, ...], names: str
+) -> DenseSystem:
+    """Normal equations of y = sum(c_i * d^p_i) for ``powers``, highest first.
+
+    Matrix entry (i, j) is sum(d^(p_i + p_j)), rhs entry i sum(y * d^p_i). A
+    sum that overflows is refused naming ``names``, or above a line the span.
+    """
+    top = powers[0]
+    moments = _power_sums(d, 2 * top)
+    weighted = _power_sums(d, top, y)
+    rhs = [weighted[p] for p in powers]
+    # No entry exceeds n + sum(d^(2*top)) in size, so a finite corner means
+    # a finite matrix.
+    corner = moments[2 * top]
+    if not math.isfinite(corner) and top > 1:
+        raise _out_of_range(d, f"the moment sums of d^{2 * top} overflow")
+    if not all(map(math.isfinite, (corner, *rhs))):
+        raise DataError(f"{names} are too large: a normal-equation sum overflows")
+    return DenseSystem([[moments[p + q] for q in powers] for p in powers], rhs)
+
+
 @dataclass(frozen=True)
 class LineFit:
     """Straight-line least squares y = slope * x + intercept."""
@@ -263,12 +313,8 @@ def ols_line(x: object, y: object) -> LineFit:
         raise DataError("x and y must be finite")
     if (xv == xv[0]).all():
         raise DegenerateDataError("all x values are identical; slope is undefined")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        sx, sxx, sy, sxy = (float(v.sum()) for v in (xv, xv * xv, yv, xv * yv))
-    if not all(map(math.isfinite, (sx, sxx, sy, sxy))):
-        raise DataError("x and y are too large: a normal-equation sum overflows")
-    coeffs, diag = solve_dense(DenseSystem([[sxx, sx], [sx, float(n)]], [sxy, sy]))
-    slope, intercept = float(coeffs[0]), float(coeffs[1])
+    coeffs, diag = solve_dense(_moment_system(xv, yv, (1, 0), "x and y"))
+    slope, intercept = coeffs.tolist()
     if not (math.isfinite(slope) and math.isfinite(intercept)):
         raise DataError("x and y are too large: the solved line overflows")
     r2, _ = _squares(yv, slope * xv + intercept)
@@ -283,60 +329,27 @@ class PolynomialFit:
     diagnostics: SolveDiagnostics = field(repr=False)
 
 
-def _out_of_range(d: np.ndarray, reason: str) -> DataError:
-    span = f"distances {d.min():g} to {d.max():g} are out of range"
-    return DataError(f"{span} for a polynomial fit in float64: {reason}")
-
-
-def _moment_system(d: np.ndarray, y: np.ndarray, degree: int) -> DenseSystem:
-    """Normal equations for a degree-``degree`` polynomial in raw powers.
-
-    Matrix entry (i, j) is sum(d^(2*degree - i - j)); rhs entry i is
-    sum(y * d^(degree - i)). For the quartic that means moments d^8 .. d^0.
-    The powers are repeated products (d, d*d, d*d*d, ...), and every moment
-    sums over the rows in row order: elementwise float operations in one
-    fixed order, with no BLAS call.
-    """
-    powers = np.ones((d.size, 2 * degree + 1))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        # Column j is d^j: the accumulation multiplies by d one column at a
-        # time, and a sum over axis 0 adds whole rows one after another.
-        np.multiply.accumulate(
-            np.repeat(d[:, np.newaxis], 2 * degree, axis=1), axis=1,
-            out=powers[:, 1:],
-        )
-        moments = powers.sum(axis=0).tolist()[::-1]  # d^(2*degree) first
-        rhs = (powers[:, degree::-1] * y[:, np.newaxis]).sum(axis=0).tolist()
-    matrix = [moments[i : i + degree + 1] for i in range(degree + 1)]
-    # No entry exceeds n + sum(d^(2*degree)) in size, so a finite corner
-    # means a finite matrix.
-    if not math.isfinite(moments[0]):
-        raise _out_of_range(d, f"the moment sums of d^{2 * degree} overflow")
-    if not all(map(math.isfinite, rhs)):
-        raise DataError("d and y are too large: a sum of y * d^k overflows")
-    return DenseSystem(matrix, rhs)
-
-
 def _fit_moments(
-    d: np.ndarray, y: np.ndarray, degree: int
+    d: np.ndarray, y: np.ndarray
 ) -> tuple[tuple[float, ...], SolveDiagnostics]:
-    system = _moment_system(d, y, degree)
+    system = _moment_system(d, y, _QUARTIC, "d and y")
     if system.condition_estimate <= CONDITION_FALLBACK:
         coeffs, diag = solve_dense(system)
-        return tuple(float(c) for c in coeffs), diag
+        return tuple(coeffs.tolist()), diag
     # Raw moments are numerically hopeless here. Refit in s = d/d_max, where
     # all powers stay within [0, 1], then undo the scaling per coefficient:
     # y = sum a_k d^k = sum (a_k d_max^k) s^k.
     d_max = float(np.max(np.abs(d)))
-    scaled_coeffs, diag = solve_dense(_moment_system(d / d_max, y, degree))
+    scaled = _moment_system(d / d_max, y, _QUARTIC, "d and y")
+    scaled_coeffs, diag = solve_dense(scaled)
     # d_max^k as repeated products, as the moments take them. Near 0, d_max^k
     # underflows and a quotient overflows: refused below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        coeffs = scaled_coeffs / np.cumprod([1.0] + [d_max] * degree)[::-1]
+        coeffs = scaled_coeffs / np.cumprod([1.0] + [d_max] * 4)[::-1]
     if not np.isfinite(coeffs).all():
         raise _out_of_range(d, "undoing the d/d_max scaling overflows")
     diag = replace(diag, condition_estimate=system.condition_estimate, scaled=True)
-    return tuple(float(c) for c in coeffs), diag
+    return tuple(coeffs.tolist()), diag
 
 
 def polyfit_quartic(d: object, y: object) -> PolynomialFit:
@@ -354,7 +367,7 @@ def polyfit_quartic(d: object, y: object) -> PolynomialFit:
         raise InsufficientDataError(
             f"quartic fit needs at least 6 distinct distances, got {n_distinct}"
         )
-    coeffs, diag = _fit_moments(dv, yv, degree=4)
+    coeffs, diag = _fit_moments(dv, yv)
     return PolynomialFit(coefficients=coeffs, diagnostics=diag)
 
 

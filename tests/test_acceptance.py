@@ -153,7 +153,8 @@ def test_criterion_5_dual_route_solve_and_stationarity():
         stats = embedded_dataset(name).stats
         report = fit_sigma_polynomial(stats)
         system = _moment_system(
-            np.asarray(stats.distances), np.asarray(stats.sds), 4
+            np.asarray(stats.distances), np.asarray(stats.sds), (4, 3, 2, 1, 0),
+            "d and y",
         )
         eliminated, _ = solve_dense(system)
         orthogonal = orthogonal_solve(system)

@@ -17,6 +17,7 @@ from rssifit import (
     fit_sigma_polynomial,
     goodness_of_fit,
     load_stats_csv,
+    ols_line,
     polyval,
     predict_mean_rss,
     prr_correlations,
@@ -68,6 +69,17 @@ def test_free_fit_matches_covariance_oracle_on_survey_data(longwall):
     slope_ref, intercept_ref = covariance_ols(x, np.array(longwall.means))
     assert report.eta == pytest.approx(-slope_ref, abs=1e-9)
     assert report.rss_d0 == pytest.approx(intercept_ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("d0", [1.0, 2.0, 5.0])
+def test_free_fit_is_ols_line_on_the_log_distance_bit_for_bit(longwall, gateroad, d0):
+    # One builder and one solve serve both: the same bits, the same diagnostics.
+    for stats in (longwall, gateroad):
+        line = ols_line(10.0 * np.log10(stats.distance_m / d0), stats.mean_dbm)
+        report = fit_path_loss(stats, d0=d0)
+        assert (line.slope, line.intercept) == (-report.eta, report.rss_d0)
+        assert line.diagnostics == report.diagnostics
+        assert line.r2 == report.fit.r2
 
 
 def test_longwall_exponent_near_2_31_free_intercept(longwall):

@@ -792,7 +792,7 @@ def test_overflow_crosses_as_one_error_line_without_warnings(capsys, tmp_path, c
         ),
         "anchored": (
             ("fit", huge, "--intercept-mode", "anchored"),
-            "mean RSS values are too large: a normal-equation sum overflows",
+            "x and y are too large: a normal-equation sum overflows",
         ),
         # the residual_y target fits the trend first
         "residual": (
@@ -804,7 +804,7 @@ def test_overflow_crosses_as_one_error_line_without_warnings(capsys, tmp_path, c
             ("sigma-fit", _stats_file(
                 tmp_path / "sds.csv", range(1, 9), ramp, [1.7e308] * 8
             )),
-            "d and y are too large: a sum of y * d^k overflows",
+            "d and y are too large: a normal-equation sum overflows",
         ),
         # d^8 reaches 1e312, so the raw moment sums overflow
         "far": (

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +18,21 @@ from rssifit import (
     DataError,
     DegenerateDataError,
     DenseSystem,
+    DistanceStats,
     InsufficientDataError,
     SingularMatrixError,
+    SurveyStats,
+    fit_sigma_polynomial,
     ols_line,
     orthogonal_solve,
     polyfit_quartic,
     polyval,
     solve_dense,
+    stationarity_sums,
 )
 from rssifit.numerics import _moment_system
+
+QUARTIC = (4, 3, 2, 1, 0)
 
 
 def naive_full_pivot_solve(a, b):
@@ -160,6 +167,17 @@ def test_line_fit_rejects_degenerate_abscissa():
         ols_line([1.0], [1.0])
 
 
+def test_line_fit_names_x_and_y_when_a_normal_equation_sum_overflows():
+    # sum(x^2) overflows: the line's inputs are named, not a span of distances
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError) as caught:
+            ols_line([1e200, 2e200, 3e200], [1.0, 2.0, 3.0])
+    assert str(caught.value) == (
+        "x and y are too large: a normal-equation sum overflows"
+    )
+
+
 def test_quartic_recovers_known_coefficients():
     true = (1e-6, 2e-3, -0.2, 2.0, -1.0)
     d = np.arange(1.0, 21.0)
@@ -182,7 +200,7 @@ def test_quartic_moment_matrix_uses_raw_powers():
     # entry (i, j) must be sum(d^(8-i-j)); checked against direct sums
     d = np.array([1.0, 2.0, 3.0, 5.0, 7.0, 11.0])
     y = np.ones_like(d)
-    system = _moment_system(d, y, 4)
+    system = _moment_system(d, y, QUARTIC, "d and y")
     for i in range(5):
         for j in range(5):
             assert system.matrix[i, j] == pytest.approx(
@@ -198,7 +216,8 @@ def test_quartic_rescales_when_raw_moments_overflow_conditioning():
     # fallback threshold; the rescaled fit must still recover coefficients
     true = (1e-10, -3e-8, 2e-5, -0.004, 1.5)
     d = np.linspace(100.0, 2000.0, 25)
-    raw_cond = float(np.linalg.cond(_moment_system(d, polyval(true, d), 4).matrix))
+    raw = _moment_system(d, polyval(true, d), QUARTIC, "d and y")
+    raw_cond = float(np.linalg.cond(raw.matrix))
     assert raw_cond > CONDITION_FALLBACK
     fit = polyfit_quartic(d, polyval(true, d))
     assert fit.diagnostics.scaled
@@ -249,7 +268,8 @@ def test_quartic_fit_estimates_the_raw_condition_once(monkeypatch):
         y = 0.01 * d**2 + 1.0
         expected = polyfit_quartic(d, y).diagnostics
         assert expected.scaled == (systems == 2)
-        assert expected.condition_estimate == cond(_moment_system(d, y, 4).matrix)
+        raw = _moment_system(d, y, QUARTIC, "d and y")
+        assert expected.condition_estimate == cond(raw.matrix)
         calls = []
         monkeypatch.setattr(
             np.linalg, "cond", lambda m: calls.append(m.shape) or cond(m)
@@ -259,23 +279,27 @@ def test_quartic_fit_estimates_the_raw_condition_once(monkeypatch):
         monkeypatch.undo()
 
 
-def moment_reference(d, y, degree):
-    """The moment system as documented: d^k as repeated products, each sum
-    taken over the rows in row order, in plain Python floats."""
-    moments = [0.0] * (2 * degree + 1)
-    rhs = [0.0] * (degree + 1)
+def moment_reference(d, y, powers):
+    """The normal equations as documented for ``powers`` (highest first):
+    d^k as repeated products, each sum taken over the rows in row order, in
+    plain Python floats."""
+    top = powers[0]
+    moments = [0.0] * (2 * top + 1)
+    weighted = [0.0] * (top + 1)
     for dr, yr in zip(d.tolist(), y.tolist()):
         power = 1.0
-        for k in range(2 * degree + 1):
+        for k in range(2 * top + 1):
             moments[k] += power
-            if k <= degree:
-                rhs[degree - k] += yr * power
+            if k <= top:
+                weighted[k] += yr * power
             power *= dr
-    size = range(degree + 1)
-    return [[moments[2 * degree - i - j] for j in size] for i in size], rhs
+    matrix = [[moments[p + q] for q in powers] for p in powers]
+    return matrix, [weighted[p] for p in powers]
 
 
 def test_moment_sums_follow_the_documented_order_bit_for_bit():
+    # The quartic, the free line and the anchored line, and the stationarity
+    # sums, which must add resid * d^k as the quartic's right-hand side does.
     rng = np.random.default_rng(11)
     for _ in range(200):
         n = int(rng.integers(6, 80))
@@ -283,10 +307,23 @@ def test_moment_sums_follow_the_documented_order_bit_for_bit():
         if rng.random() < 0.5:
             d = -d
         y = rng.normal(0.0, 10.0, n)
-        matrix, rhs = moment_reference(d, y, 4)
-        system = _moment_system(d, y, 4)
-        assert system.matrix.tolist() == matrix
-        assert system.rhs.tolist() == rhs
+        for powers in (QUARTIC, (1, 0), (1,)):
+            matrix, rhs = moment_reference(d, y, powers)
+            system = _moment_system(d, y, powers, "d and y")
+            assert system.matrix.tolist() == matrix
+            assert system.rhs.tolist() == rhs
+    for _ in range(50):
+        n = int(rng.integers(6, 80))
+        d = np.unique(rng.uniform(0.5, 60.0, n))
+        rows = [
+            DistanceStats(x, -40.0, s, 10)
+            for x, s in zip(d.tolist(), rng.uniform(1.0, 5.0, d.size).tolist())
+        ]
+        stats = SurveyStats("moments", rows)
+        sigma = fit_sigma_polynomial(stats).sigma
+        resid = stats.sd_db - polyval(sigma.coefficients, d)
+        _, rhs = moment_reference(d, resid, QUARTIC)
+        assert stationarity_sums(stats, sigma) == tuple(rhs[::-1])
 
 
 def partial_pivot_reference(a, b):
@@ -377,6 +414,25 @@ for name in ("longwall-face", "gateroad-conveyor"):
 """
 
 
+def _outputs(code, *changes):
+    """The stdout of ``code`` in one fresh interpreter per dict of changes to
+    the environment (None removes a variable), importing this rssifit."""
+    package_root = str(Path(rssifit.__file__).resolve().parents[1])
+    outputs = []
+    for change in changes:
+        env = {k: v for k, v in {**os.environ, **change}.items() if v is not None}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    return outputs
+
+
 @pytest.mark.skipif(
     platform.machine().lower() not in ("x86_64", "amd64"),
     reason="OpenBLAS core types named here are x86-64 kernels",
@@ -384,18 +440,35 @@ for name in ("longwall-face", "gateroad-conveyor"):
 def test_fits_do_not_depend_on_the_blas_kernel():
     # OpenBLAS picks its kernels by OPENBLAS_CORETYPE: Haswell's use FMA,
     # Prescott's do not. A BLAS call anywhere in a fit shows up in its digits.
-    package_root = str(Path(rssifit.__file__).resolve().parents[1])
-    outputs = []
-    for core in ("Haswell", "Prescott"):
-        env = dict(os.environ, OPENBLAS_CORETYPE=core)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", FIT_REPRS],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout)
+    outputs = _outputs(
+        FIT_REPRS, {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Prescott"}
+    )
     assert outputs[0].count("\n") == 8
+    assert outputs[0] == outputs[1]
+
+
+STATIONARITY_REPR = """
+import numpy as np
+from rssifit import DistanceStats, SurveyStats
+from rssifit import fit_sigma_polynomial, stationarity_sums
+rng = np.random.default_rng(5)
+d = np.sort(rng.uniform(0.5, 60.0, 400)).tolist()
+sds = rng.uniform(2.0, 3.0, 400).tolist()
+stats = SurveyStats("dispatch", map(DistanceStats, d, [-40.0] * 400, sds, [10] * 400))
+print(repr(stationarity_sums(stats, fit_sigma_polynomial(stats).sigma)))
+"""
+
+
+def test_stationarity_sums_do_not_depend_on_the_simd_dispatch():
+    # np.power's AVX-512 kernels round d^3 and d^4 differently from the
+    # baseline's. Powers taken as repeated products do not: the sums come out
+    # the same with those targets switched off. Elsewhere both runs agree
+    # trivially.
+    disabled = "AVX512_SPR,AVX512_ICL,AVX512_CNL,AVX512_CLX,AVX512_SKX,X86_V4"
+    outputs = _outputs(
+        STATIONARITY_REPR,
+        {"NPY_DISABLE_CPU_FEATURES": disabled},
+        {"NPY_DISABLE_CPU_FEATURES": None},
+    )
+    assert outputs[0].count("\n") == 1
     assert outputs[0] == outputs[1]
