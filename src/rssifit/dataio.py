@@ -178,19 +178,29 @@ def save_survey_csv(survey: RssiSurvey) -> bytes:
 def _pooled(site: str, distance, rssi) -> RssiSurvey:
     """Pool samples by distance in order of first appearance, in file order.
 
-    Only the first reading of each run of equal distances is ranked, so a
-    file written distance by distance ranks one value per run, not per row.
+    Works on runs of equal distances, not on readings: each run's distance
+    is ranked by the run it first appears in, the runs (not the rows) are
+    put in rank order by one stable sort (a radix sort, as the ranks are a
+    small unsigned type) and their readings are moved as whole runs. The
+    counts are the run lengths summed per rank.
     """
     distance, rssi = np.asarray(distance), np.asarray(rssi)
     runs = np.flatnonzero(np.concatenate(([True], distance[1:] != distance[:-1])))
-    unique, first, inverse = np.unique(
-        distance[runs], return_index=True, return_inverse=True
-    )
+    sizes = np.diff(runs, append=distance.size)
+    heads = distance[runs]
+    unique = np.unique(heads)
+    inverse = np.searchsorted(unique, heads)  # no argsort of the runs
+    first = np.full(unique.size, runs.size)
+    np.minimum.at(first, inverse, np.arange(runs.size))
     order = np.argsort(first)
-    group = np.argsort(order)[inverse.ravel()]  # rank of first appearance
-    group = np.repeat(group, np.diff(runs, append=distance.size))
-    samples = rssi[np.argsort(group, kind="stable")]
-    return RssiSurvey._from_columns(site, unique[order], np.bincount(group), samples)
+    rank = np.argsort(order).astype(np.min_scalar_type(order.size))[inverse]
+    by = np.argsort(rank, kind="stable")
+    moved = sizes[by]
+    shift = runs[by] - (np.cumsum(moved) - moved)  # a run's start, old - new
+    samples = rssi[np.arange(distance.size) + np.repeat(shift, moved)]
+    counts = np.zeros(unique.size, np.intp)
+    np.add.at(counts, rank, sizes)
+    return RssiSurvey._from_columns(site, unique[order], counts, samples)
 
 
 def _survey_rows(text: str) -> RssiSurvey:
@@ -291,20 +301,22 @@ def _survey_fields(block, mark, commas: int, limit: int, crlf: bool):
     distance byte, the comma after the distance and the line's end, before
     a CR that ends it where ``crlf`` (the file holds a CR). None unless every
     line starts with the bytes ``mark`` (the site field and its comma), holds
-    ``commas`` commas and at most ``limit`` bytes. Any other CR is inside the
-    site field, which then differs from ``mark``, or inside a number, which
-    :func:`_decimals` refuses."""
-    breaks = np.flatnonzero((block == 44) | (block == 10))
-    kinds = block[breaks]
-    if block[-1] != 10:  # the file's last line, with no line break
-        breaks, kinds = np.append(breaks, block.size), np.append(kinds, 10)
-    if breaks.size % (commas + 1):
+    ``commas`` commas and at most ``limit`` bytes. Lines are checked, not
+    breaks: with ``commas + 1`` breaks (comma or line break) per line and
+    each line's last break a line break, every other break is a comma. Any
+    other CR is inside the site field, which then differs from ``mark``, or
+    inside a number, which :func:`_decimals` refuses."""
+    newline = block == 10
+    breaks = np.flatnonzero(newline | (block == 44))
+    lines = np.count_nonzero(newline)
+    if not newline[-1]:  # the file's last line, with no line break
+        breaks, lines = np.append(breaks, block.size), lines + 1
+    if breaks.size != lines * (commas + 1):
         return None
-    # Sorted, they must run as lines do: ``commas`` commas, a line break.
-    breaks = breaks.reshape(-1, commas + 1)
-    if (kinds.reshape(breaks.shape) != np.array([44] * commas + [10], np.uint8)).any():
-        return None
+    breaks = breaks.reshape(lines, commas + 1)
     ends = breaks[:, -1]
+    if not newline[ends[:-1]].all():  # the last line's end is the block's
+        return None
     starts = np.concatenate(([0], ends[:-1] + 1))
     size = ends - starts
     if size.min() < mark.size or size.max() > limit:
@@ -370,7 +382,7 @@ def _decimals(block, lo, hi):
         big = np.flatnonzero(mantissa >= np.uint64(2**53))
         k = np.zeros_like(big) if scale is None else scale[big]
         value[big] = [m / 10**e for m, e in zip(mantissa[big].tolist(), k.tolist())]
-    return np.where(sign == 45, -value, value)
+    return np.negative(value, out=value, where=sign == 45)
 
 
 def load_survey_csv(data: bytes) -> RssiSurvey:

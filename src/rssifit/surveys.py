@@ -237,13 +237,15 @@ def survey_stats(survey: RssiSurvey) -> SurveyStats:
     n-1 sample standard deviation. Each pooled distance needs at least two
     samples, otherwise the standard deviation is undefined.
 
-    Sums run left to right over the pooled samples in row order (bincount
-    adds in input order), and squared deviations are exact IEEE products, so
-    the result does not depend on the interpreter's ``sum`` or libm's ``pow``.
+    The counts come from the rows' counts, one addition per row. Sums run
+    left to right over the pooled samples in row order (bincount adds in
+    input order), and squared deviations are exact IEEE products, so the
+    result does not depend on the interpreter's ``sum`` or libm's ``pow``.
     """
-    distances, group = np.unique(survey.distances, return_inverse=True)
-    group = np.repeat(group, survey.counts)
-    n = np.bincount(group, minlength=distances.size)
+    distances, row = np.unique(survey.distances, return_inverse=True)
+    n = np.zeros(distances.size, np.int64)
+    np.add.at(n, row, survey.counts)
+    group = np.repeat(row, survey.counts)
     short = np.flatnonzero(n < 2)
     if short.size:
         i = short[0]

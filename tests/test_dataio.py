@@ -571,14 +571,17 @@ def test_well_formed_surveys_never_fall_back_to_the_row_loop(monkeypatch):
     def row_loop(text):
         raise AssertionError("well-formed survey fell back to the row loop")
 
-    # Plain decimals with LF or CRLF line ends, under a bare or a quoted
-    # site, and the writer's own 17-digit samples are all the kernel's.
+    # Plain decimals with LF or CRLF line ends, the last line ended or not,
+    # under a bare or a quoted site, and the writer's own 17-digit samples
+    # are all the kernel's.
     lines = [f"{(k % 20) + 1},{-40 - k % 53}" for k in range(10_000)]
     model = ShadowedPathLossModel(1.0, -45.0, 2.3, ConstantSigma(4.0))
     spec = SimulationSpec(model, tuple(range(1, 21)), 500, seed=11)
     files = [
         "site,distance_m,rssi_dbm\n" + "".join(f"A,{l}\n" for l in lines),
         "site,distance_m,rssi_dbm\r\n" + "".join(f"A,{l}\r\n" for l in lines),
+        "site,distance_m,rssi_dbm\r\n" + "\r\n".join(f"A,{l}" for l in lines),
+        "site,distance_m,rssi_dbm\nA,1,-50",
         "site,distance_m,rssi_dbm\n"
         + "".join(f'"mine, ""2""",{l}\n' for l in lines[:-1])
         + f'"mine, ""2""",{lines[-1]}',
@@ -647,6 +650,56 @@ def test_a_carriage_return_anywhere_reads_as_the_row_loop_reads_it():
                     assert got == expected
                 kernel += dataio._survey_bulk(data, data.decode()) is not None
     assert kernel >= 5
+
+
+def test_misaligned_lines_with_the_right_number_of_breaks_go_to_the_row_loop():
+    # A comma too few on one line and one too many on a later line leave the
+    # block's break count right but the breaks out of line with the lines.
+    # Under the site "7", read three breaks at a time, the lines even start
+    # with the site field and hold numbers where the numbers go.
+    error = (FormatError, "line 3: expected 3 fields, got 2")
+    for lines in (
+        ["A,1,-50", "A,1", "A,1,-50", "A,1,-50,7", "A,2,-51"],
+        ["7,1,-50", "7,1", "7,7,1,-51", "7,2,-52"],
+    ):
+        data = ("site,distance_m,rssi_dbm\n" + "\n".join(lines) + "\n").encode()
+        assert dataio._survey_bulk(data, data.decode()) is None
+        assert _outcome(reference_load_survey_csv, data) == error
+        assert _outcome(load_survey_csv, data) == error
+
+
+def reference_pooled(distance, rssi):
+    """Pool by distance in a dict, which keeps first appearance order."""
+    pooled = {}
+    for d, r in zip(distance, rssi):
+        pooled.setdefault(d, []).append(r)
+    return list(pooled), [len(r) for r in pooled.values()], sum(pooled.values(), [])
+
+
+def _pooling_sample(k: int) -> float:
+    """Distinct by row but for the zeros, whose signs alternate."""
+    return (0.0, -0.0)[k % 2] if k % 5 == 0 else (-1.0) ** k * k / 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from((1.0, 2.0, 2.5, 7.0, 40.0)), st.integers(1, 50)),
+    min_size=1, max_size=12,
+))
+# 2.0 comes back after 1.0; 3.5 is first seen last.
+@example([(2.0, 3), (1.0, 50), (2.0, 1), (1.0, 7), (3.5, 2)])
+# Every row its own run, over more distances than a uint8 ranks.
+@example([(float(k % 300 + 1), 1) for k in range(900)])
+def test_pooling_by_runs_matches_a_dict_of_rows(runs):
+    distance = [d for d, size in runs for _ in range(size)]
+    rssi = [_pooling_sample(k) for k in range(len(distance))]
+    survey = dataio._pooled("A", np.array(distance), np.array(rssi))
+    distances, counts, samples = reference_pooled(distance, rssi)
+    assert survey.distances.tolist() == distances
+    assert survey.counts.tolist() == counts
+    assert survey.samples.view(np.uint64).tolist() == (
+        np.array(samples).view(np.uint64).tolist()
+    )
 
 
 # -- the one number rule ---------------------------------------------------
@@ -782,19 +835,24 @@ def test_kernel_reads_plain_decimals_as_float_and_refuses_the_rest(fields):
 
 
 @pytest.mark.parametrize("defect", (
-    "none", "letter", "exponent", "other-site", "long", "short", "merged",
-    "zero-distance",
+    "none", "runs", "letter", "exponent", "other-site", "long", "short",
+    "merged", "zero-distance",
 ))
 def test_multi_block_surveys_read_as_the_row_loop(monkeypatch, defect):
     # Blocks of 40 bytes hold two lines of about 19 bytes, and the longer
-    # lines make blocks of their own; the last line has no line break.
+    # lines make blocks of their own; the last line has no line break. In
+    # "runs", each distance holds for 5 lines, across the block cuts, and
+    # comes back every 4 runs.
     monkeypatch.setattr(dataio, "_BLOCK", 40)
     site = '"a, ""b"""'
     rows = [f"{site},{1 + k % 7}.5,{-40 - k % 53}" for k in range(60)]
+    if defect == "runs":
+        rows = [f"{site},{1 + k // 5 % 4}.5,{-40 - k % 53}" for k in range(60)]
     rows[21] = f"{site},0001234567890.125,-1234567890123.25"
     rows[33] = f"{site},12.345678901234567,-105.12345678901234"  # 17 digits
     rows[-1] = {
         "none": rows[-1],
+        "runs": rows[-1],
         "letter": f"{site},2,-5x",
         "exponent": f"{site},2,-5e1",
         "other-site": "A,2,-50",
@@ -805,7 +863,7 @@ def test_multi_block_surveys_read_as_the_row_loop(monkeypatch, defect):
     }[defect]
     data = ("site,distance_m,rssi_dbm\n" + "\n".join(rows)).encode()
     expected = _outcome(reference_load_survey_csv, data)
-    if defect == "none":  # the kernel reads it all
+    if defect in ("none", "runs"):  # the kernel reads it all
         monkeypatch.setattr(dataio, "_survey_rows", None)
     assert _outcome(load_survey_csv, data) == expected
 

@@ -69,7 +69,8 @@ def test_rows_come_out_sorted_by_distance():
 
 def test_single_sample_distance_rejected():
     survey = RssiSurvey(site="lab", rows=((4.0, (-60.0,)),))
-    with pytest.raises(InsufficientDataError, match="4"):
+    # The count is an int: "got 1", not "got 1.0".
+    with pytest.raises(InsufficientDataError, match=r"distance 4\.0 m .*, got 1$"):
         survey_stats(survey)
 
 
@@ -175,6 +176,9 @@ survey_rows = st.lists(
 @given(rows=survey_rows)
 @example(rows=[(2.0, [-50.0]), (1.0, [-40.0, -41.0]), (2.0, [-52.0])])
 @example(rows=[(1.0, [-40.0, -41.0]), (3.5, [-60.0])])
+# One distance in three rows apart, holding 1, 3 and 2 samples.
+@example(rows=[(2.0, [-50.0]), (1.0, [-40.0, -41.0]), (2.0, [-51.0, -0.0, 3.5]),
+               (3.5, [-60.0, -61.0]), (2.0, [-52.0, -53.5])])
 def test_survey_stats_matches_per_row_reference(rows):
     survey = RssiSurvey(site="lab", rows=tuple((d, tuple(s)) for d, s in rows))
     assert stats_outcome(survey_stats, survey) == stats_outcome(
