@@ -297,12 +297,14 @@ def prr_correlations(stats: SurveyStats) -> PrrCorrelations:
         raise InsufficientDataError(
             f"need at least 3 rows with PRR to correlate, got {n_rows}"
         )
-    prr, sd, mean = stats.prr_pct[has], stats.sd_db[has], stats.mean_dbm[has]
-    for name, col in (("prr", prr), ("sd", sd), ("mean_rss", mean)):
+    columns = stats.prr_pct[has], stats.sd_db[has], stats.mean_dbm[has]
+    for name, col in zip(("prr", "sd", "mean_rss"), columns):
         if np.all(col == col[0]):
             raise DegenerateDataError(
                 f"column {name!r} is constant; correlation is undefined"
             )
+    # Each column scaled exactly, by a power of two, keeps corrcoef's sums in range.
+    prr, sd, mean = (np.ldexp(c, -np.frexp(abs(c).max())[1]) for c in columns)
     return PrrCorrelations(
         prr_vs_sd=float(np.corrcoef(prr, sd)[0, 1]),
         prr_vs_mean=float(np.corrcoef(prr, mean)[0, 1]),

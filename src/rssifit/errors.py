@@ -9,11 +9,14 @@ Every public constructor and entry point checks its scalars with the field
 rules below. Each returns the canonical ``float``, ``int``, ``bool`` or
 ``str``, or raises :class:`DataError` naming the field. A number is what
 ``float`` takes but text and bools: Python and numpy ints and floats, 0-d
-arrays of them.
+arrays of them. Each range rule admits a closed interval of floats and
+carries ``holds``, the same test on a float array: the survey containers
+check their columns with it.
 """
 
 import math
 import operator
+import sys
 
 
 class RssifitError(Exception):
@@ -70,37 +73,27 @@ def number(name: str, value: object) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def real(name: str, value: object) -> float:
-    """A finite number."""
-    # Testing for a float here too spares the hot paths a call to number().
-    x = value if value.__class__ is float else number(name, value)
-    if x - x != 0.0:  # nan or infinite
-        raise DataError(f"{name} must be finite, got {x!r}")
-    return x
+def _within(words: str, lo: float, hi: float):
+    """A rule: the float if the number is in [lo, hi], else a refusal that the
+    field must be ``words``. ``rule.holds(a)`` tests a float array's elements."""
+
+    def rule(name: str, value: object) -> float:
+        # Testing for a float here too spares the hot paths a call to number().
+        x = value if value.__class__ is float else number(name, value)
+        if not lo <= x <= hi:  # nan too
+            raise DataError(f"{name} must be {words}, got {x!r}")
+        return x
+
+    rule.holds = lambda a: (lo <= a) & (a <= hi)
+    return rule
 
 
-def positive(name: str, value: object) -> float:
-    """A finite number above 0."""
-    x = value if value.__class__ is float else number(name, value)
-    if not 0.0 < x < math.inf:
-        raise DataError(f"{name} must be finite and > 0, got {x!r}")
-    return x
-
-
-def nonnegative(name: str, value: object) -> float:
-    """A finite number, at least 0."""
-    x = value if value.__class__ is float else number(name, value)
-    if not 0.0 <= x < math.inf:
-        raise DataError(f"{name} must be finite and >= 0, got {x!r}")
-    return x
-
-
-def probability(name: str, value: object) -> float:
-    """A number strictly between 0 and 1."""
-    p = value if value.__class__ is float else number(name, value)
-    if not 0.0 < p < 1.0:
-        raise DataError(f"{name} must be in (0, 1), got {p!r}")
-    return p
+# An open end is the nearest float inside it: "> 0" is ">= 5e-324".
+real = _within("finite", -sys.float_info.max, sys.float_info.max)
+positive = _within("finite and > 0", math.ulp(0.0), sys.float_info.max)
+nonnegative = _within("finite and >= 0", 0.0, sys.float_info.max)
+probability = _within("in (0, 1)", math.ulp(0.0), math.nextafter(1.0, 0.0))
+percent = _within("in [0, 100] percent", 0.0, 100.0)
 
 
 def integer(name: str, value: object, least: int | None = None) -> int:

@@ -60,8 +60,7 @@ class LocalizationEstimate:
     def __post_init__(self) -> None:
         settle(self, real, "d_hat", "d_lo", "d_hi", "sigma_used")
         settle(self, probability, "level")
-        if self.clamped.__class__ is not bool:  # a bool skips the rule's call
-            object.__setattr__(self, "clamped", flag("clamped", self.clamped))
+        settle(self, flag, "clamped")
         if not 0.0 < self.d_lo <= self.d_hat <= self.d_hi:
             raise DataError(
                 "interval must satisfy 0 < d_lo <= d_hat <= d_hi, got "
@@ -93,8 +92,7 @@ class LinkPlan:
         settle(self, positive, "max_range")
         settle(self, nonnegative, "margin_db", "outage_z")
         settle(self, real, "sensitivity")
-        if self.clamped.__class__ is not bool:  # a bool skips the rule's call
-            object.__setattr__(self, "clamped", flag("clamped", self.clamped))
+        settle(self, flag, "clamped")
 
 
 def estimate_distance(model: ShadowedPathLossModel, rss: float) -> float:

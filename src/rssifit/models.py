@@ -166,13 +166,20 @@ def rss_from_path_loss(pt_dbm: float, pl_db: float) -> float:
 def free_space_rx(model: FreeSpaceModel, d: float) -> float:
     """Received power (linear units) at distance d under the 1/d^2 model."""
     d = positive("d", d)
-    return model.c_t * model.tx_power / (d * d)
+    return _received(model.c_t * model.tx_power, d, d * d)
 
 
 def two_ray_rx(model: TwoRayModel, d: float) -> float:
     """Received power (linear units) at distance d under the 1/d^4 model."""
     d = positive("d", d)
-    return model.c_t2 * model.tx_power / (d * d * d * d)
+    return _received(model.c_t2 * model.tx_power, d, d * d * d * d)
+
+
+def _received(power: float, d: float, spread: float) -> float:
+    """``power / spread``, refused by d unless finite: ``spread`` may be 0."""
+    if spread and power / spread < math.inf:
+        return power / spread
+    raise DataError(f"received power at d {d!r} m overflows")
 
 
 def predict_mean_rss(model: ShadowedPathLossModel, d: float) -> float:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, InsufficientDataError, _refused
-from .errors import integer, nonnegative, number, positive, real, settle, text
+from .errors import integer, nonnegative, percent, positive, real, settle, text
 
 _key = attrgetter("site", "rows", "metadata")
 
@@ -83,7 +83,7 @@ class RssiSurvey(_Columns):
     def _store(self, distances, counts, samples, fault=None) -> None:
         """Refuse the first row with a distance not finite and > 0, with no
         samples or with a non-finite one, then ``fault``; else store."""
-        ok = (distances > 0.0) & (distances < np.inf) & (counts > 0)
+        ok = positive.holds(distances) & (counts > 0)
         finite = np.isfinite(samples)
         if np.count_nonzero(ok) < ok.size or np.count_nonzero(finite) < finite.size:
             ok[np.repeat(np.arange(counts.size), counts)[~finite]] = False
@@ -157,9 +157,7 @@ class DistanceStats:
         settle(self, nonnegative, "sd")
         object.__setattr__(self, "n", integer("n", self.n, least=1))
         if self.prr is not None:
-            settle(self, number, "prr")
-            if not 0.0 <= self.prr <= 100.0:  # nan too
-                raise DataError(f"prr must be in [0, 100] percent, got {self.prr!r}")
+            settle(self, percent, "prr")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -204,8 +202,8 @@ class SurveyStats(_Columns):
         """Refuse the first row that breaks a rule of :class:`DistanceStats`,
         as it words it, then a distance not above the one before."""
         self._freeze(distance_m=d, mean_dbm=mean, sd_db=sd, n=n, prr_pct=prr)
-        ok = (d > 0.0) & (d < np.inf) & np.isfinite(mean) & (sd >= 0.0) & (sd < np.inf)
-        if not np.all(ok & (n > 0) & ~((prr < 0.0) | (prr > 100.0))):  # nan: none
+        ok = positive.holds(d) & real.holds(mean) & nonnegative.holds(sd) & (n > 0)
+        if not np.all(ok & (percent.holds(prr) | np.isnan(prr))):  # nan: no prr
             _stats_rows(self)  # DistanceStats refuses the first bad row
         step = np.flatnonzero(d[1:] <= d[:-1])  # rows come sorted: a repeat
         if step.size:

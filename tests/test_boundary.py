@@ -186,6 +186,7 @@ JUNK = st.sampled_from(
         np.array(True), np.array([1.0]), (1.0,), (), [1.0], object(), 1j,
         np.complex128(1.0), Fraction(1, 2), Decimal("0.5"),
         0, 1, -1, 0.5, 2.0, -92.0, 2**64,
+        5e-324, 1e-300, 1e300, 1.7e308, -1.7e308,
         "free", "anchored", "sample_sd", "residual_y", "longwall-face",
         np.str_("residual_y"), np.str_("anchored"), np.str_("s"),
         ConstantSigma(2.0), _SIGMA,

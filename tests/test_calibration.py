@@ -1,6 +1,7 @@
 """Trend and sigma calibration against independent regression oracles."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -312,6 +313,18 @@ def test_prr_correlations_require_variation_and_presence():
     missing = make_stats([1.0, 2.0, 3.0], [-50.0, -55.0, -60.0])
     with pytest.raises(InsufficientDataError):
         prr_correlations(missing)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_prr_correlations_hold_for_columns_of_any_scale(scale):
+    # Unscaled, corrcoef's sums overflow (1e160) or vanish (1e-170), with a
+    # numpy warning, which pyproject.toml makes an error.
+    sds = [k * scale for k in (1.0, 2.0, 3.0, 1.0, 2.0, 3.0)]
+    prrs = [90.0, 91.0, 92.0, 93.0, 94.0, 95.0]
+    stats = make_stats(range(1, 7), [-50.0] * 3 + [-60.0] * 3, sds=sds, prrs=prrs)
+    corr = prr_correlations(stats)
+    expected = statistics.correlation(prrs, [1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
+    assert corr.prr_vs_sd == pytest.approx(expected, rel=1e-14)
 
 
 def test_stationarity_sums_nonzero_away_from_optimum(longwall):

@@ -1,6 +1,7 @@
 """Forward propagation models and sigma evaluation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,27 @@ def test_free_space_power_quarters_when_distance_doubles():
 def test_two_ray_power_sixteenths_when_distance_doubles():
     m = TwoRayModel(c_t2=1.0, tx_power=4.0)
     assert two_ray_rx(m, 2.0) == pytest.approx(two_ray_rx(m, 1.0) / 16.0)
+
+
+@pytest.mark.parametrize(
+    "rx, model, d",
+    [
+        (free_space_rx, FreeSpaceModel(1.0, 1.0), 5e-324),
+        (free_space_rx, FreeSpaceModel(1.0, 1.0), 1e-170),  # d * d underflows
+        (free_space_rx, FreeSpaceModel(1e200, 1e200), 1.0),  # c_t * tx overflows
+        (two_ray_rx, TwoRayModel(1.0, 1.0), 1e-100),  # d**4 underflows
+        (two_ray_rx, TwoRayModel(1e200, 1e200), 1e300),  # inf / inf
+    ],
+)
+def test_received_power_that_is_not_finite_is_refused_naming_d(rx, model, d):
+    with pytest.raises(DataError, match=re.escape(f"received power at d {d!r} m ")):
+        rx(model, d)
+
+
+def test_received_power_keeps_its_bits_where_finite():
+    for d in (1e-70, 0.3, 7.0, 1e150, 1e300, 1.7e308):
+        assert free_space_rx(FreeSpaceModel(3.0, 0.7), d) == 3.0 * 0.7 / (d * d)
+        assert two_ray_rx(TwoRayModel(3.0, 0.7), d) == 3.0 * 0.7 / (d * d * d * d)
 
 
 def test_path_loss_is_pt_minus_pr():

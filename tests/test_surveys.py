@@ -487,6 +487,47 @@ def test_array_entry_and_row_entry_agree_on_surveys_and_first_errors(rows):
         assert from_arrays.rows == from_rows.rows == parent.rows
 
 
+@st.composite
+def faulty_stats_rows(draw):
+    """1-8 summary rows at distances 1, 2, ..., with up to three faults put
+    in any row and column. A nan prr is an absent one, and a prr of 0, 100
+    or -0.0 and an sd of -0.0 are in range."""
+    good = (
+        (-50.0, 0.0, -1.7e308), (0.0, -0.0, 1.5, 5e-324), (1, 20, 2**62),
+        (math.nan, 0.0, -0.0, 50.0, 100.0),
+    )
+    bad = (
+        (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf),
+        (math.nan, math.inf, -math.inf),
+        (-0.5, -5e-324, math.nan, math.inf),
+        (0, -1),
+        (100.5, -0.5, math.inf, -math.inf),
+    )
+    k = draw(st.integers(1, 8))
+    rows = [[i + 1.0, *(draw(st.sampled_from(g)) for g in good)] for i in range(k)]
+    for _ in range(draw(st.integers(0, 3))):
+        column = draw(st.integers(0, 4))
+        rows[draw(st.integers(0, k - 1))][column] = draw(st.sampled_from(bad[column]))
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=faulty_stats_rows())
+@example(rows=((1.0, -50.0, 1.0, 5, 100.5),))
+@example(rows=((1.0, -50.0, 1.0, 5, math.nan), (2.0, -50.0, -0.5, 0, -0.5)))
+@example(rows=((1.0, -50.0, -0.0, 5, -0.0), (2.0, -50.0, 1.0, 5, 100.0)))
+def test_stats_columns_refuse_the_first_bad_row_as_distance_stats_words_it(rows):
+    def from_rows(site, rows):  # DistanceStats refuses each row in turn
+        rows = [DistanceStats(*r[:4], None if r[4] != r[4] else r[4]) for r in rows]
+        return SurveyStats(site, rows, (("k", "v"),))
+
+    def from_columns(site, rows):
+        columns = map(np.array, zip(*rows), (float,) * 3 + (np.int64, float))
+        return SurveyStats._from_columns(site, *columns, metadata=(("k", "v"),))
+
+    assert _built(from_columns, "lab", rows) == _built(from_rows, "lab", rows)
+
+
 def test_prr_column_round_trips_present_and_absent_values():
     rows = (
         DistanceStats(1.0, -50.0, 1.5, 20, 100.0),
