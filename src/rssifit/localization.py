@@ -16,7 +16,8 @@ predicted signal, less an outage margin of z sigma, stay above the receiver
 sensitivity? That is solved numerically rather than by algebra so clamped or
 non-monotone sigma shapes are handled uniformly: one vectorised pass over a
 logarithmic grid brackets the last sign change, then bisection on the scalar
-objective tightens it. The closed-form inversion (valid when z = 0) serves
+objective tightens it. The grid depends on d0 alone, so it is built once per
+d0 and kept read-only. The closed-form inversion (valid when z = 0) serves
 as an independent check elsewhere. Planned ranges beyond the surveyed span
 rest on a clamped sigma and deserve skepticism, so the result records
 whether clamping occurred.
@@ -73,8 +74,10 @@ class LocalizationEstimate:
         if not d_lo <= d_hat <= d_hi:  # the public constructor words the refusal
             return cls(d_hat, d_lo, d_hi, level, sigma_used, clamped)
         est = object.__new__(cls)
-        est.__dict__.update(d_hat=d_hat, d_lo=d_lo, d_hi=d_hi, level=level)
-        est.__dict__.update(sigma_used=sigma_used, clamped=clamped)
+        object.__setattr__(est, "__dict__", {
+            "d_hat": d_hat, "d_lo": d_lo, "d_hi": d_hi, "level": level,
+            "sigma_used": sigma_used, "clamped": clamped,
+        })
         return est
 
 
@@ -125,6 +128,14 @@ def _z(level: float) -> float:
     if p == 1.0:  # inv_cdf refuses it
         raise DataError(f"level {level!r} is too close to 1 for a normal quantile")
     return NormalDist().inv_cdf(p)
+
+
+@lru_cache(maxsize=16)
+def _scan_grid(d0: float) -> np.ndarray:
+    """max_range's read-only logarithmic scan of [d0, RANGE_SEARCH_MAX]."""
+    grid = np.geomspace(d0, RANGE_SEARCH_MAX, 4097)
+    grid.flags.writeable = False
+    return grid
 
 
 def _no_sigma() -> DataError:
@@ -180,12 +191,12 @@ def max_range(
     """Largest distance whose margin-adjusted RSS stays above sensitivity.
 
     Finds the last point of {d : predict(d) - z*sigma(d) >= sensitivity} on
-    [d0, 1e6 m]. A logarithmic scan of 4097 points, evaluated in one
-    vectorised pass, locates the final sign change (sigma need not be
-    monotone, so the first bracket from the left would be wrong); bisection
-    on the scalar objective then tightens it to +/- 0.01 m. When z > 0 a
-    sigma that is negative at a scanned point is refused by
-    :func:`sigma_curve`, which names the first such point.
+    [d0, 1e6 m]. A logarithmic scan of 4097 points, built once per d0 and
+    evaluated in one vectorised pass, locates the final sign change (sigma
+    need not be monotone, so the first bracket from the left would be wrong);
+    bisection on the scalar objective then tightens it to +/- 0.01 m. When
+    z > 0 a sigma that is negative or not finite at a scanned point is
+    refused by :func:`sigma_curve`, which names the first such point.
     """
     positive("eta", model.eta)  # the rule and message estimate_distance uses
     outage_z = nonnegative("outage_z", outage_z)
@@ -206,7 +217,7 @@ def max_range(
         sigma, clamped = _sigma(model.sigma, d)
         return outage_z * sigma, clamped
 
-    grid = np.geomspace(model.d0, RANGE_SEARCH_MAX, 4097)
+    grid = _scan_grid(model.d0)
     # Python float arithmetic overflows to inf silently; so does this scan.
     with np.errstate(over="ignore", invalid="ignore"):
         signal = mean_rss_curve(model, grid)

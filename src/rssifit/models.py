@@ -204,8 +204,9 @@ def sigma_at(sigma: SigmaModel, d: float) -> SigmaValue:
 
     For a :class:`SigmaPolynomial` the distance is clamped to the validity
     domain first and the flag reports whether clamping occurred. A
-    :class:`ConstantSigma` never clamps. A fitted quartic can dip below zero;
-    a negative value is refused with a :class:`NumericalError` naming d.
+    :class:`ConstantSigma` never clamps. A fitted quartic can dip below zero
+    or overflow; a value that is negative or not finite is refused with a
+    :class:`NumericalError` naming d.
     """
     return SigmaValue(*_sigma(sigma, positive("d", d)))
 
@@ -216,9 +217,10 @@ def _sigma(sigma: SigmaModel, d: float) -> tuple[float, bool]:
         return sigma.value, False
     dc = sigma.d_min if d < sigma.d_min else sigma.d_max if d > sigma.d_max else d
     value = (((sigma.a * dc + sigma.b) * dc + sigma.c) * dc + sigma.e) * dc + sigma.f
-    if value < 0:
+    if not 0.0 <= value < math.inf:  # nan fails both
+        what = "negative" if -math.inf < value < 0.0 else "not finite"
         raise NumericalError(
-            f"fitted sigma is negative ({value:.4g} dB) at d = {d:.4g} m; "
+            f"fitted sigma is {what} ({value:.4g} dB) at d = {d:.4g} m; "
             "the sigma model is invalid there"
         )
     return value, dc != d
@@ -236,23 +238,32 @@ def mean_rss_curve(model: ShadowedPathLossModel, d: np.ndarray) -> np.ndarray:
 def sigma_curve(sigma: SigmaModel, d: np.ndarray) -> np.ndarray:
     """:func:`sigma_at` values over an array of distances, all > 0.
 
-    Same clamp, Horner arithmetic and refusal of a negative value as the
-    scalar form, so each value equals ``sigma_at(sigma, d[i]).value`` exactly.
-    The distances are not validated and the clamp flags are not returned.
+    Same clamp, Horner arithmetic and refusal of a negative or non-finite
+    value as the scalar form, so each value equals
+    ``sigma_at(sigma, d[i]).value`` exactly. The distances are not validated
+    and the clamp flags are not returned.
     """
     if isinstance(sigma, ConstantSigma):
         return np.full(d.shape, sigma.value)
-    dc = np.clip(d, sigma.d_min, sigma.d_max)
-    values = (((sigma.a * dc + sigma.b) * dc + sigma.c) * dc + sigma.e) * dc + sigma.f
-    negative = np.flatnonzero(values < 0)
-    if negative.size:  # sigma_at refuses the first, as a scalar scan would
-        sigma_at(sigma, float(d[negative[0]]))
+    dc = d.clip(sigma.d_min, sigma.d_max)
+    a, b, c, e, f = sigma.coefficients
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by d
+        values = (((a * dc + b) * dc + c) * dc + e) * dc + f
+    if values.size and not 0.0 <= values.min() <= values.max() < math.inf:
+        for x in d.flat:  # a scalar scan refuses the first bad value
+            sigma_at(sigma, float(x))
     return values
 
 
 def shadow_pdf(psi: float, sigma: float) -> float:
-    """Probability density of the zero-mean Gaussian fading term, in dB."""
+    """Probability density of the zero-mean Gaussian fading term, in dB.
+
+    A sigma so small that the density overflows is refused by psi and sigma.
+    """
     psi = real("psi", psi)
     sigma = positive("sigma", sigma)
     z = psi / sigma
-    return math.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sigma)
+    density = math.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sigma)
+    if density < math.inf:
+        return density
+    raise DataError(f"fading density at psi {psi!r} dB, sigma {sigma!r} dB overflows")

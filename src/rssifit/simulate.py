@@ -133,7 +133,8 @@ def simulate_survey(spec: SimulationSpec) -> RssiSurvey:
     Each sample is predict_mean_rss(d) + sigma_clamped(d) * z with z from the
     module's documented generator. A model without a sigma model (or with
     sigma identically zero) yields noiseless samples equal to the mean trend;
-    one whose sigma is negative at a distance is refused by ``sigma_curve``.
+    one whose sigma is negative or not finite at a distance is refused by
+    ``sigma_curve``.
     """
     model, sigma, n = spec.model, spec.model.sigma, spec.samples_per_distance
     distances = np.array(spec.distances)

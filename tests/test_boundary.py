@@ -7,9 +7,9 @@ near-numbers: numeric strings, bools, None, nan and the infinities, numpy
 scalars and 0-d arrays, tuples, bare objects. The ``rows`` of the survey
 containers, a row of them and a row's samples are slots too. The call must
 either succeed, with every float, int, bool and str field of what it returns
-holding exactly that type, or raise a ``RssifitError`` whose message names the
-field. Every model it returns, at any depth, must survive the JSON model
-document.
+holding exactly that type and a float result finite, or raise a
+``RssifitError`` whose message names the field. Every model it returns, at
+any depth, must survive the JSON model document.
 """
 
 import dataclasses
@@ -107,7 +107,8 @@ CALLS = {
     "two_ray_rx": ({"model": rssifit.TwoRayModel(1.0, 1.0), "d": 10.0}, ("d",)),
     "predict_mean_rss": ({"model": _MODEL, "d": 10.0}, ("d",)),
     "sigma_at": ({"sigma": _SIGMA, "d": 10.0}, ("d",)),
-    "shadow_pdf": ({"psi": 1.0, "sigma": 3.0}, ("psi", "sigma")),
+    # At psi = 0 a tiny sigma makes the density overflow.
+    "shadow_pdf": ({"psi": 0.0, "sigma": 3.0}, ("psi", "sigma")),
     "estimate_distance": ({"model": _MODEL, "rss": -60.0}, ("rss",)),
     "confidence_interval": (
         {"model": _MODEL, "rss": -60.0, "level": 0.9}, ("rss", "level")
@@ -258,6 +259,7 @@ def test_every_public_name_is_driven_or_set_aside():
 @example(case=("LocalizationEstimate", "clamped"), junk="no")
 @example(case=("LinkPlan", "clamped"), junk=1)
 @example(case=("LinkPlan", "clamped"), junk=np.True_)
+@example(case=("shadow_pdf", "sigma"), junk=5e-324)
 @example(case=("DistanceStats", "n"), junk=2.5)
 @example(case=("DistanceStats", "n"), junk=True)
 @example(case=("FreeSpaceModel", "c_t"), junk=True)
@@ -289,6 +291,7 @@ def test_scalars_are_canonical_or_refused_by_name(case, junk):
         assert result.dtype == np.float64
     elif isinstance(result, (float, int)):
         assert type(result) is float, (name, slot, junk, result)
+        assert math.isfinite(result), (name, slot, junk, result)
     else:
         _check_canonical(result, name)
 

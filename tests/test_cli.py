@@ -212,13 +212,24 @@ def test_localize_negative_sigma_exits_2(capsys, tmp_path):
     assert "sigma" in err
 
 
-def test_a_negative_sigma_is_refused_alike_wherever_an_sd_is_used(capsys, tmp_path):
-    # sigma(d) = 0.1 d^2 - 2 d + 5 is negative for 2.93 < d < 17.07
-    sigma = SigmaPolynomial(a=0, b=0, c=0.1, e=-2.0, f=5.0, d_min=1.0, d_max=20.0)
-    model = tmp_path / "neg.json"
+@pytest.mark.parametrize(
+    "sigma, word, value",
+    [
+        # 0.1 d^2 - 2 d + 5 is negative for 2.93 < d < 17.07
+        (SigmaPolynomial(a=0, b=0, c=0.1, e=-2.0, f=5.0, d_min=1.0, d_max=20.0),
+         "negative", "-5"),
+        # 1e305 d^4 overflows from ~6.5 m on, inside the [1, 20] m domain
+        (SigmaPolynomial(a=1e305, b=0, c=0, e=0, f=1.0, d_min=1.0, d_max=20.0),
+         "not finite", "inf"),
+    ],
+)
+def test_a_bad_sigma_is_refused_alike_wherever_an_sd_is_used(
+    capsys, tmp_path, sigma, word, value
+):
+    model = tmp_path / "bad.json"
     model.write_bytes(model_to_json(ShadowedPathLossModel(1.0, -50.0, 2.0, sigma)))
     at_10 = (
-        "error: fitted sigma is negative (-5 dB) at d = 10 m; "
+        f"error: fitted sigma is {word} ({value} dB) at d = 10 m; "
         "the sigma model is invalid there\n"
     )
     for argv in (
@@ -229,8 +240,8 @@ def test_a_negative_sigma_is_refused_alike_wherever_an_sd_is_used(capsys, tmp_pa
     ):
         rc, out, err = run(capsys, argv[0], "--model", str(model), *argv[1:])
         assert rc == 2, err
-        _one_error_line(out, err, "error: fitted sigma is negative (")
-        if argv[0] == "plan":  # which names the first negative point it scans
+        _one_error_line(out, err, f"error: fitted sigma is {word} (")
+        if argv[0] == "plan":  # which names the first bad point it scans
             assert err.endswith(" m; the sigma model is invalid there\n")
         else:
             assert err == at_10

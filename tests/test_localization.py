@@ -28,6 +28,7 @@ from rssifit.localization import (
     RANGE_TOLERANCE,
     LinkPlan,
     LocalizationEstimate,
+    _scan_grid,
 )
 from rssifit.models import mean_rss_curve, sigma_curve
 
@@ -137,6 +138,21 @@ def test_negative_fitted_sigma_is_a_numerical_error():
     sigma = SigmaPolynomial(a=0, b=0, c=0, e=0, f=-1.0, d_min=1.0, d_max=20.0)
     with pytest.raises(NumericalError):
         confidence_interval(model(sigma=sigma), -60.0)
+
+
+def test_a_sigma_that_overflows_is_refused_by_d_wherever_it_is_used():
+    # 1e305 d^4 overflows from ~6.5 m on, inside the [1, 20] m domain.
+    sigma = SigmaPolynomial(a=1e305, b=0, c=0, e=0, f=1.0, d_min=1.0, d_max=20.0)
+    m = model(sigma=sigma)
+    with pytest.raises(NumericalError) as refused:
+        confidence_interval(m, -60.0)  # d_hat = 10 m
+    assert str(refused.value) == (
+        "fitted sigma is not finite (inf dB) at d = 10 m; "
+        "the sigma model is invalid there"
+    )
+    with pytest.raises(NumericalError, match=r"^fitted sigma is not finite \(inf dB\)"):
+        max_range(m, LinkConstants(), outage_z=1.0)
+    assert max_range(m, LinkConstants()) == max_range(model(), LinkConstants())
 
 
 def test_zero_margin_range_matches_closed_form():
@@ -473,6 +489,41 @@ def test_max_range_equals_the_public_bisection_bit_for_bit(
             assert type(got) is type(want) and str(got) == str(want)
         return
     assert got == want and repr(got) == repr(want)
+
+
+def test_the_scan_grid_is_built_once_per_d0_and_never_written():
+    m = model(eta=2.5, d0=1.7, sigma=ConstantSigma(4.0))
+    grid = _scan_grid(m.d0)
+    fresh = np.geomspace(m.d0, RANGE_SEARCH_MAX, 4097)
+    assert grid.tobytes() == fresh.tobytes() and grid.dtype == fresh.dtype
+    assert _scan_grid(1.7) is grid
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
+    before = grid.tobytes()
+    for z in (0.0, 1.28, 1.96):
+        max_range(m, LinkConstants(), outage_z=z)
+    assert grid.tobytes() == before
+    # Models that share d0 share the grid, and nothing else.
+    sigma = SigmaPolynomial(a=0, b=0, c=0.01, e=0.2, f=3.0, d_min=1.0, d_max=20.0)
+    for eta in (1.8, 3.1):
+        shared = model(eta=eta, d0=1.7, sigma=sigma)
+        for z in (0.0, 1.96):
+            got = max_range(shared, LinkConstants(), outage_z=z)
+            want = public_bisection(shared, LinkConstants(), z)
+            assert got == want and repr(got) == repr(want)
+
+
+def test_the_one_step_estimate_is_an_ordinary_frozen_dataclass():
+    est = confidence_interval(model(sigma=ConstantSigma(3.0)), -60.0)
+    names = [f.name for f in dataclasses.fields(est)]
+    assert list(vars(est)) == names
+    assert names == ["d_hat", "d_lo", "d_hi", "level", "sigma_used", "clamped"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        est.d_hat = 1.0
+    wider = dataclasses.replace(est, level=0.99)
+    assert wider.level == 0.99 and wider.d_hat == est.d_hat
+    assert dataclasses.replace(est) == est
 
 
 def test_private_constructor_refuses_a_disordered_interval_as_the_public_one():

@@ -25,7 +25,7 @@ from rssifit import (
     sigma_at,
     two_ray_rx,
 )
-from rssifit.models import mean_rss_curve, sigma_curve
+from rssifit.models import _sigma, mean_rss_curve, sigma_curve
 
 
 def test_free_space_power_quarters_when_distance_doubles():
@@ -106,6 +106,10 @@ def test_constant_sigma_never_clamps():
     assert sigma_at(s, 1e6) == (2.0, False)
 
 
+# 1e305 d^4 overflows for d above ~6.5 m, inside the [1, 20] m domain.
+_OVERFLOWING = SigmaPolynomial(a=1e305, b=0, c=0, e=0, f=1.0, d_min=1.0, d_max=20.0)
+
+
 def test_curves_match_scalar_evaluations():
     d = np.geomspace(0.3, 1e6, 301)
     m = ShadowedPathLossModel(d0=1.5, rss_d0=-47.3, eta=2.31)
@@ -121,6 +125,9 @@ def test_curves_match_scalar_evaluations():
             a=2.6e-6, b=0.0062, c=-0.23, e=2.4, f=-1.7, d_min=1.0, d_max=20.0
         ),
         ConstantSigma(3.5),
+        # 1e305 d^4 overflows above ~6.5 m: both forms refuse its first point,
+        # and numpy's overflow warning (an error under this suite) stays inside
+        _OVERFLOWING,
         # negative for 2.93 < d < 17.07: both forms refuse its first point
         SigmaPolynomial(a=0, b=0, c=0.1, e=-2.0, f=5.0, d_min=1.0, d_max=20.0),
     ):
@@ -130,6 +137,33 @@ def test_curves_match_scalar_evaluations():
         "fitted sigma is negative (-0.1017 dB) at d = 3.001 m; "
         "the sigma model is invalid there"
     )
+
+
+def test_a_sigma_that_is_not_finite_is_refused_by_d():
+    assert outcome(lambda: sigma_at(_OVERFLOWING, 10.0)) == (
+        "fitted sigma is not finite (inf dB) at d = 10 m; "
+        "the sigma model is invalid there"
+    )
+    falling = SigmaPolynomial(a=-1e305, b=0, c=0, e=0, f=0, d_min=1.0, d_max=20.0)
+    assert outcome(lambda: sigma_at(falling, 10.0)).startswith(
+        "fitted sigma is not finite (-inf dB) at d = 10 m"
+    )
+    with pytest.raises(NumericalError, match=r"not finite \(nan dB\) at d = nan m"):
+        _sigma(_POLY, math.nan)
+    finite = np.arange(1.0, 7.0)
+    assert sigma_curve(_OVERFLOWING, finite).tolist() == [
+        sigma_at(_OVERFLOWING, float(x)).value for x in finite
+    ]
+    assert sigma_curve(_OVERFLOWING, finite[:0]).size == 0
+
+
+def test_a_density_that_overflows_is_refused_by_psi_and_sigma():
+    for sigma in (5e-324, 1e-310):
+        message = f"psi 0.0 dB, sigma {sigma!r} dB overflows"
+        with pytest.raises(DataError, match=re.escape(message)):
+            shadow_pdf(0.0, sigma)
+    assert math.isfinite(shadow_pdf(0.0, 1e-300))
+    assert shadow_pdf(1.0, 5e-324) == 0.0  # exp(-inf): nothing overflows
 
 
 def outcome(evaluate):

@@ -163,6 +163,22 @@ def test_simulation_clamps_sigma_outside_fitted_domain():
     assert sd == pytest.approx(5.0, rel=0.05)  # held at sigma(d_max)
 
 
+def test_a_sigma_that_overflows_is_refused_by_its_first_distance():
+    # 1e305 d^4 overflows from d = 7 m on; numpy's overflow warning (an error
+    # under this suite) must not escape before the refusal.
+    sigma = SigmaPolynomial(a=1e305, b=0, c=0, e=0, f=1.0, d_min=1.0, d_max=20.0)
+    over = ShadowedPathLossModel(d0=1.0, rss_d0=-40.0, eta=2.0, sigma=sigma)
+    distances = tuple(float(d) for d in range(1, 21))
+    with pytest.raises(NumericalError) as refused:
+        simulate_survey(spec(model=over, distances=distances, samples_per_distance=5))
+    assert str(refused.value) == (
+        "fitted sigma is not finite (inf dB) at d = 7 m; "
+        "the sigma model is invalid there"
+    )
+    survey = simulate_survey(spec(model=over, distances=distances[:3]))
+    assert len(survey.rows) == 3  # sigma(3 m) = 8.1e306 dB is finite
+
+
 def test_spec_validation():
     with pytest.raises(DataError):
         SimulationSpec(model=MODEL, distances=(), samples_per_distance=1, seed=0)
