@@ -26,6 +26,7 @@ import numpy as np
 from .errors import DataError, DegenerateDataError, InsufficientDataError
 from .errors import integer, nonnegative, one_of, positive, real, settle
 from .models import ShadowedPathLossModel, SigmaPolynomial, predict_mean_rss
+from .models import _log_distance
 from .numerics import (
     SolveDiagnostics,
     _moment_system,
@@ -96,11 +97,9 @@ class FitReport:
     ``residuals`` are observed minus fitted mean RSS per row; ``y_values``
     are those residuals divided by :data:`RESIDUAL_Z` (the spread proxy used
     as an alternative sigma-fit target). ``fit`` covers the trend itself.
-    ``y_values`` match the 'residual_y' target of :func:`sigma_target` only
-    to rounding: the fit evaluates its trend with numpy, the target with
-    :func:`predict_mean_rss`, in another order and another log10. On
-    the embedded tables (both intercept modes, d0 of 1, 2 and 5 m) they
-    differ by at most 7.55e-15 dB, in 0 to 3 of 20 rows.
+    The fit takes its regressor and fitted values by the model's one trend
+    formula, so ``y_values`` equal ``residual_y(stats, model)``, the
+    'residual_y' target of :func:`sigma_target`, bit for bit.
     """
 
     model: ShadowedPathLossModel
@@ -136,14 +135,16 @@ def fit_path_loss(
         raise InsufficientDataError(
             f"need at least 3 distinct distances to fit a trend, got {d.size}"
         )
-    # Regressor: x = 10*log10(d/d0). Slope is -eta, intercept is rss_d0.
-    with np.errstate(over="ignore", divide="ignore"):
-        x = 10.0 * np.log10(d / d0)
-    if not np.all(np.isfinite(x)):
+    # Regressor: the model's x = 10*log10(d/d0). Slope -eta, intercept rss_d0.
+    try:
+        x = np.array([_log_distance(v, d0) for v in d.tolist()])
+        if not np.all(np.isfinite(x)):  # some d/d0 overflowed
+            raise ValueError
+    except ValueError:  # or underflowed to 0
         raise DataError(
             f"d0 = {d0!r} takes d/d0 outside the float range for these "
             "distances"
-        )
+        ) from None
     free = intercept_mode == "free"
     # Anchored, rss_d0 is the mean of the row nearest d0 (of two as near,
     # argmin takes the smaller distance) and only the slope is solved for.
@@ -155,19 +156,12 @@ def fit_path_loss(
     eta = -coeffs[0].item()
     if free:
         rss_d0 = coeffs[1].item()
-    fitted = rss_d0 - eta * x
+    fitted = rss_d0 - eta * x  # the model's mean, as _mean takes it
     gof = goodness_of_fit(y, fitted, n_params=len(powers))
     residuals = tuple((y - fitted).tolist())
     y_values = tuple(r / RESIDUAL_Z for r in residuals)
     model = ShadowedPathLossModel(d0=d0, rss_d0=rss_d0, eta=eta)
-    return FitReport(
-        model=model,
-        intercept_mode=intercept_mode,
-        fit=gof,
-        residuals=residuals,
-        y_values=y_values,
-        diagnostics=diagnostics,
-    )
+    return FitReport(model, intercept_mode, gof, residuals, y_values, diagnostics)
 
 
 def residual_y(
@@ -204,11 +198,6 @@ def sigma_target(
     return np.array(residual_y(stats, trend), dtype=np.float64)
 
 
-def _weighted_sums(d: np.ndarray, resid: np.ndarray) -> tuple[float, ...]:
-    """sum(resid * d^k) for k = 0..4, lowest power first, as the fit sums."""
-    return tuple(_power_sums(d, 4, resid))
-
-
 @dataclass(frozen=True)
 class SigmaFitReport:
     """Result of the quartic sigma fit.
@@ -229,7 +218,7 @@ class SigmaFitReport:
     def stationarity(self) -> tuple[float, ...]:
         """:func:`stationarity_sums` of this fit, computed on access."""
         resid = np.array(self.observed) - np.array(self.fitted)
-        return _weighted_sums(np.array(self.distances), resid)
+        return tuple(_power_sums(np.array(self.distances), 4, resid))
 
 
 def fit_sigma_polynomial(
@@ -272,7 +261,7 @@ def stationarity_sums(
     """
     d = stats.distance_m
     resid = sigma_target(stats, target, trend) - polyval(sigma.coefficients, d)
-    return _weighted_sums(d, resid)
+    return tuple(_power_sums(d, 4, resid))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 All formats are UTF-8 with LF newlines. Numeric fields are rendered with
 Python's shortest-round-trip float representation (integers without a
 decimal point), so saving and reloading reproduces values bit for bit and
-repeated exports are byte-stable. :func:`csv_text` is the one CSV writer,
-for these codecs and for the CLI's tables.
+repeated exports are byte-stable (tests/test_dataio.py: ``*_round_trips``,
+``test_stats_export*``). :func:`csv_text` is the one CSV writer, for these
+codecs and for the CLI's tables.
 
 Survey CSV  header ``site,distance_m,rssi_dbm``, one sample per row. A file
             holds one site. Loading pools rows by distance in order of first
@@ -81,28 +82,25 @@ def parse_number(text: str, kind: type = float):
     return kind(core)
 
 
-def _parse_float(text: str, line: int, column: str) -> float:
+# By kind: what a refused text is not, the rule a value must meet and its
+# words. An int column is stored as int64.
+_KINDS = {
+    float: ("a number", math.isfinite, "finite"),
+    int: ("an integer", lambda n: n < 2**63, "below 2**63"),
+}
+
+
+def _parse(text: str, line: int, column: str, kind: type = float):
+    """``text`` read by :func:`parse_number`, refused by line and column."""
+    what, holds, rule = _KINDS[kind]
+    where = f"line {line}, column {column!r}"
     try:
-        value = parse_number(text)
+        value = parse_number(text, kind)
     except ValueError:
-        raise FormatError(
-            f"line {line}, column {column!r}: not a number: {text!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise FormatError(
-            f"line {line}, column {column!r}: value must be finite, "
-            f"got {text!r}"
-        )
+        raise FormatError(f"{where}: not {what}: {text!r}") from None
+    if not holds(value):
+        raise FormatError(f"{where}: value must be {rule}, got {text!r}")
     return value
-
-
-def _parse_int(text: str, line: int, column: str) -> int:
-    try:
-        return parse_number(text, int)
-    except ValueError:
-        raise FormatError(
-            f"line {line}, column {column!r}: not an integer: {text!r}"
-        ) from None
 
 
 def _decode(data: bytes) -> str:
@@ -214,14 +212,14 @@ def _survey_rows(text: str) -> RssiSurvey:
                 f"line {line}: site {row_site!r} differs from {site!r}; "
                 "a survey file holds one site"
             )
-        distance = _parse_float(d_text, line, "distance_m")
+        distance = _parse(d_text, line, "distance_m")
         if distance <= 0:
             raise FormatError(
                 f"line {line}, column 'distance_m': must be > 0, "
                 f"got {d_text!r}"
             )
         distances.append(distance)
-        readings.append(_parse_float(rssi_text, line, "rssi_dbm"))
+        readings.append(_parse(rssi_text, line, "rssi_dbm"))
     if site is None:
         raise FormatError("line 2: no data rows")
     if not site:
@@ -413,11 +411,11 @@ def load_stats_csv(data: bytes, site: str = "stats") -> SurveyStats:
         d_text, mean_text, sd_text, prr_text, n_text = row
         try:
             rows.append(DistanceStats(
-                _parse_float(d_text, line, "distance_m"),
-                _parse_float(mean_text, line, "mean_dbm"),
-                _parse_float(sd_text, line, "sd_db"),
-                _parse_int(n_text, line, "n"),
-                None if prr_text == "" else _parse_float(prr_text, line, "prr_pct"),
+                _parse(d_text, line, "distance_m"),
+                _parse(mean_text, line, "mean_dbm"),
+                _parse(sd_text, line, "sd_db"),
+                _parse(n_text, line, "n", int),
+                None if prr_text == "" else _parse(prr_text, line, "prr_pct"),
             ))
         except FormatError:
             raise

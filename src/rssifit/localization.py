@@ -16,10 +16,11 @@ predicted signal, less an outage margin of z sigma, stay above the receiver
 sensitivity? That is solved numerically rather than by algebra so clamped or
 non-monotone sigma shapes are handled uniformly: one vectorised pass over a
 logarithmic grid brackets the last sign change, then bisection on the scalar
-objective tightens it. The grid depends on d0 alone, so it is built once per
-d0 and kept read-only. The closed-form inversion (valid when z = 0) serves
-as an independent check elsewhere. Planned ranges beyond the surveyed span
-rest on a clamped sigma and deserve skepticism, so the result records
+objective tightens it. The grid and its x = 10*log10(d/d0) are built by
+libm, once per d0, and kept read-only; the pass evaluates the scalar
+objective at each grid point. The closed-form inversion (valid when z = 0)
+serves as an independent check elsewhere. Planned ranges beyond the
+surveyed span rest on a clamped sigma and deserve skepticism, so the result records
 whether clamping occurred.
 """
 
@@ -34,8 +35,8 @@ import numpy as np
 
 from .errors import DataError, NumericalError, nonnegative, positive, probability
 from .errors import flag, real, settle
-from .models import LinkConstants, ShadowedPathLossModel, _mean, _sigma
-from .models import mean_rss_curve, sigma_curve
+from .models import LinkConstants, ShadowedPathLossModel, _log_distance, _mean
+from .models import _sigma, sigma_curve
 
 # Bisection search ceiling and tolerance for max_range, in metres.
 RANGE_SEARCH_MAX = 1e6
@@ -131,11 +132,14 @@ def _z(level: float) -> float:
 
 
 @lru_cache(maxsize=16)
-def _scan_grid(d0: float) -> np.ndarray:
-    """max_range's read-only logarithmic scan of [d0, RANGE_SEARCH_MAX]."""
-    grid = np.geomspace(d0, RANGE_SEARCH_MAX, 4097)
-    grid.flags.writeable = False
-    return grid
+def _scan_grid(d0: float) -> tuple[np.ndarray, np.ndarray]:
+    """max_range's read-only scan of [d0, RANGE_SEARCH_MAX] and its x, by libm."""
+    ratio = RANGE_SEARCH_MAX / d0
+    points = [d0 * ratio ** (k / 4096) for k in range(4097)]
+    grid = np.array(points)
+    x = np.array([_log_distance(d, d0) for d in points])
+    grid.flags.writeable = x.flags.writeable = False
+    return grid, x
 
 
 def _no_sigma() -> DataError:
@@ -191,12 +195,12 @@ def max_range(
     """Largest distance whose margin-adjusted RSS stays above sensitivity.
 
     Finds the last point of {d : predict(d) - z*sigma(d) >= sensitivity} on
-    [d0, 1e6 m]. A logarithmic scan of 4097 points, built once per d0 and
-    evaluated in one vectorised pass, locates the final sign change (sigma
-    need not be monotone, so the first bracket from the left would be wrong);
-    bisection on the scalar objective then tightens it to +/- 0.01 m. When
-    z > 0 a sigma that is negative or not finite at a scanned point is
-    refused by :func:`sigma_curve`, which names the first such point.
+    [d0, 1e6 m]. The scalar objective, evaluated in one vectorised pass at
+    4097 logarithmic points built once per d0, locates the final sign change
+    (sigma need not be monotone, so the first bracket from the left would be
+    wrong); bisection on it then tightens that to +/- 0.01 m. When z > 0 a
+    sigma that is negative or not finite at a scanned point is refused by
+    :func:`sigma_curve`, which names the first such point.
     """
     positive("eta", model.eta)  # the rule and message estimate_distance uses
     outage_z = nonnegative("outage_z", outage_z)
@@ -217,10 +221,10 @@ def max_range(
         sigma, clamped = _sigma(model.sigma, d)
         return outage_z * sigma, clamped
 
-    grid = _scan_grid(model.d0)
+    grid, x = _scan_grid(model.d0)
     # Python float arithmetic overflows to inf silently; so does this scan.
     with np.errstate(over="ignore", invalid="ignore"):
-        signal = mean_rss_curve(model, grid)
+        signal = model.rss_d0 - model.eta * x  # _mean at each grid point
         if outage_z != 0.0:
             signal -= outage_z * sigma_curve(model.sigma, grid)
         ok = np.flatnonzero(signal - sens >= 0.0)

@@ -12,6 +12,10 @@ path-loss exponent is unaffected because PL = Pt - RSS differs from -RSS only
 by a constant. :func:`path_loss_db` and :func:`rss_from_path_loss` convert for
 callers who do know Pt.
 
+The trend has one formula: x = 10*log10(d/d0) by libm (:func:`_log_distance`)
+and the mean rss_d0 - eta*x, in that order. The fit, the mean, the residuals
+and max_range's scan all take it, so none depends on numpy's SIMD dispatch.
+
 Everything here is an immutable value; all functions are pure.
 """
 
@@ -102,11 +106,11 @@ SigmaModel = Union[SigmaPolynomial, ConstantSigma]
 class ShadowedPathLossModel:
     """Log-normal shadowing model in RSS space.
 
-    Mean RSS at distance d is ``rss_d0 - 10 * eta * log10(d / d0)``; the
-    fading term is zero-mean Gaussian in dB with standard deviation given by
-    ``sigma`` (fixed mean of zero, not configurable): a
-    :class:`SigmaPolynomial`, a :class:`ConstantSigma`, or None for a freshly
-    fitted distance trend that has no fading model yet.
+    Mean RSS at distance d is ``rss_d0 - eta * x`` with
+    ``x = 10 * log10(d / d0)``; the fading term is zero-mean Gaussian in dB
+    with standard deviation given by ``sigma`` (fixed mean of zero, not
+    configurable): a :class:`SigmaPolynomial`, a :class:`ConstantSigma`, or
+    None for a freshly fitted distance trend that has no fading model yet.
     """
 
     d0: float
@@ -187,13 +191,18 @@ def predict_mean_rss(model: ShadowedPathLossModel, d: float) -> float:
     return _mean(model, positive("d", d))
 
 
+def _log_distance(d: float, d0: float) -> float:
+    """The regressor x; ValueError if d/d0 underflows to 0, inf if it overflows."""
+    return 10.0 * math.log10(d / d0)
+
+
 def _mean(model: ShadowedPathLossModel, d: float) -> float:
     """:func:`predict_mean_rss` for a d already known finite and > 0."""
     try:
-        mean = model.rss_d0 - 10.0 * model.eta * math.log10(d / model.d0)
+        mean = model.rss_d0 - model.eta * _log_distance(d, model.d0)
     except ValueError:  # d / d0 underflowed to 0
         raise DataError(f"d {d!r} m is too small beside d0 {model.d0!r} m") from None
-    if mean - mean != 0.0:  # nan or an infinity: 10 * eta overflowed, say
+    if mean - mean != 0.0:  # nan or an infinity: eta * x overflowed, say
         raise DataError(f"mean RSS at d {d!r} m overflows (rss_d0 {model.rss_d0!r} "
                         f"dBm, eta {model.eta!r})")
     return mean
@@ -224,15 +233,6 @@ def _sigma(sigma: SigmaModel, d: float) -> tuple[float, bool]:
             "the sigma model is invalid there"
         )
     return value, dc != d
-
-
-def mean_rss_curve(model: ShadowedPathLossModel, d: np.ndarray) -> np.ndarray:
-    """:func:`predict_mean_rss` over an array of distances, all > 0.
-
-    The distances are not validated; ``np.log10`` may differ from
-    ``math.log10`` in the last place.
-    """
-    return model.rss_d0 - 10.0 * model.eta * np.log10(d / model.d0)
 
 
 def sigma_curve(sigma: SigmaModel, d: np.ndarray) -> np.ndarray:

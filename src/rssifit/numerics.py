@@ -13,11 +13,10 @@ The elimination and the power sums run in plain float64 operations in one
 documented order: elimination and back substitution in Python floats (the
 first row with the largest |a[i][k]| pivots; each back-substitution sum runs
 left to right), the powers of d as repeated products, not np.power, and
-every sum over the rows in row order. None of it calls BLAS or a SIMD power
-kernel, both of which change with the CPU, so the fits and the stationarity
-sums give the same bits whatever BLAS build and CPU numpy runs on. The QR
-fallback and the condition estimate of systems larger than 2x2 still call
-LAPACK.
+every sum over the rows in row order. None of it calls BLAS, which changes
+with the CPU, so the solves and the stationarity sums give the same bits
+whatever BLAS build numpy runs on. The QR fallback and the condition
+estimate of systems larger than 2x2 still call LAPACK.
 
 Why this is safe here: the moment matrix of d = 1..20 has a condition
 estimate around 2.3e11. That sounds alarming, but the quantity the callers

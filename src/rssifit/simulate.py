@@ -21,6 +21,10 @@ involved; the algorithm is part of the package contract:
 Seeding is per (distance index, sample index), not a single stream:
 appending distances or extending the sample count never perturbs samples
 already generated, so incremental experiments stay reproducible.
+
+tests/test_simulation.py checks the generator within one numpy build. Across
+CPU dispatch the first paragraph's claim is not yet tested, nor true: step 4
+takes numpy's SIMD ``log`` and ``cos`` (ROADMAP.md, item 2).
 """
 
 from __future__ import annotations

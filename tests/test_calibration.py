@@ -5,6 +5,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rssifit import (
     DataError,
@@ -17,6 +19,7 @@ from rssifit import (
     fit_path_loss,
     fit_sigma_polynomial,
     goodness_of_fit,
+    embedded_dataset,
     load_stats_csv,
     ols_line,
     polyval,
@@ -76,7 +79,9 @@ def test_free_fit_matches_covariance_oracle_on_survey_data(longwall):
 def test_free_fit_is_ols_line_on_the_log_distance_bit_for_bit(longwall, gateroad, d0):
     # One builder and one solve serve both: the same bits, the same diagnostics.
     for stats in (longwall, gateroad):
-        line = ols_line(10.0 * np.log10(stats.distance_m / d0), stats.mean_dbm)
+        # The libm regressor: numpy's SIMD log10 may differ in the last place.
+        x = np.array([10.0 * math.log10(d / d0) for d in stats.distances])
+        line = ols_line(x, stats.mean_dbm)
         report = fit_path_loss(stats, d0=d0)
         assert (line.slope, line.intercept) == (-report.eta, report.rss_d0)
         assert line.diagnostics == report.diagnostics
@@ -138,6 +143,38 @@ def test_report_carries_row_aligned_residuals(gateroad):
     assert len(report.y_values) == len(gateroad.rows)
     for resid, y in zip(report.residuals, report.y_values):
         assert y == pytest.approx(resid / 1.96, rel=1e-12)
+
+
+@st.composite
+def trend_surveys(draw):
+    """An embedded table, or 3 to 30 rows at distinct distances."""
+    name = draw(st.sampled_from(["longwall-face", "gateroad-conveyor", None]))
+    if name is not None:
+        return embedded_dataset(name).stats
+    distances = draw(st.lists(
+        st.floats(min_value=0.1, max_value=1000.0), min_size=3, max_size=30,
+        unique=True,
+    ))
+    means = draw(st.lists(
+        st.floats(min_value=-110.0, max_value=-20.0),
+        min_size=len(distances), max_size=len(distances),
+    ))
+    return make_stats(distances, means)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stats=trend_surveys(),
+    d0=st.floats(min_value=0.1, max_value=10.0),
+    mode=st.sampled_from(["free", "anchored"]),
+)
+@example(stats=embedded_dataset("longwall-face").stats, d0=2.0, mode="free")
+@example(stats=embedded_dataset("gateroad-conveyor").stats, d0=5.0, mode="anchored")
+def test_fit_residuals_are_residual_y_of_its_model_bit_for_bit(stats, d0, mode):
+    # The fit and residual_y take one trend formula, so no row differs.
+    report = fit_path_loss(stats, d0=d0, intercept_mode=mode)
+    assert report.y_values == residual_y(stats, report.model)
+    assert report.residuals == residual_y(stats, report.model, scaled=False)
 
 
 def test_fit_requires_three_rows_and_valid_mode():

@@ -452,6 +452,9 @@ def test_fit_rejects_undecodable_or_malformed_stats_files(capsys, tmp_path):
     for body, where in (
         (b"1,-50,1\xff,,20\n", "byte 43"),
         (b"1,-50,1\r,,20\n", "line 2"),
+        # An n past int64 was refused without its line.
+        (b"1,-50,1,,20\n2,-55,1.5,,20\n3,-60,1,,99999999999999999999\n",
+         "line 4, column 'n'"),
     ):
         path = tmp_path / "bad.csv"
         path.write_bytes(header + body)
@@ -636,14 +639,18 @@ def test_a_distance_whose_ratio_to_d0_underflows_is_one_error_line(capsys, tmp_p
 
 
 def test_a_mean_that_overflows_is_one_error_line(capsys, tmp_path):
-    # eta = 1e308 once printed "mean_dbm": NaN at d0 and -Infinity beyond it.
+    # eta = 1e308 once printed "mean_dbm": -Infinity beyond d0. At d0 itself
+    # eta * x is eta * 0, so the mean is rss_d0 and predict succeeds.
     path = tmp_path / "huge.json"
     path.write_bytes(model_to_json(ShadowedPathLossModel(1.0, -40.0, 1e308)))
-    for d in ("1", "10"):
+    for d in ("0.1", "10"):
         argv = ["predict", "--model", str(path), "--d", d, "--format", "json"]
         rc, out, err = run(capsys, *argv)
         assert rc == 1 and "NaN" not in out and "Infinity" not in out
         _one_error_line(out, err, f"error: mean RSS at d {float(d)!r} m overflows")
+    rc, out, err = run(capsys, "predict", "--model", str(path), "--d", "1",
+                       "--format", "json")
+    assert rc == 0 and err == "" and json.loads(out)["mean_dbm"] == -40.0
 
 
 _DISTANCE_SPECS = (

@@ -231,6 +231,13 @@ def test_stats_load_rejects_invalid_rows():
         load_stats_csv(header + b"0,-50,1,,20\n")  # distance 0
     with pytest.raises(FormatError, match="n"):
         load_stats_csv(header + b"1,-50,1,,20.5\n")  # non-integer count
+    for n in (2**63, 10**20):  # a count past int64, which stores n
+        with pytest.raises(FormatError) as caught:
+            load_stats_csv(header + b"1,-50,1,,20\n2,-55,1,,%d\n" % n)
+        assert str(caught.value) == (
+            f"line 3, column 'n': value must be below 2**63, got '{n}'"
+        )
+    assert load_stats_csv(header + b"1,-50,1,,%d\n" % (2**63 - 1)).n[0] == 2**63 - 1
     with pytest.raises(FormatError, match="line 2"):
         load_stats_csv(header + b"1,-50,1,,20,extra\n")
     with pytest.raises(FormatError, match="line 1"):

@@ -30,7 +30,7 @@ from rssifit.localization import (
     LocalizationEstimate,
     _scan_grid,
 )
-from rssifit.models import mean_rss_curve, sigma_curve
+from rssifit.models import sigma_curve
 
 
 def model(eta=2.0, rss_d0=-40.0, d0=1.0, sigma=None):
@@ -219,6 +219,11 @@ def test_plan_z_requires_sigma_when_positive():
         max_range(model(sigma=ConstantSigma(2.0)), LinkConstants(), outage_z=-1.0)
 
 
+def libm_grid(d0):
+    """max_range's documented scan points, d0 * (1e6 / d0) ** (k / 4096)."""
+    return [d0 * (RANGE_SEARCH_MAX / d0) ** (k / 4096) for k in range(4097)]
+
+
 def loop_max_range(m, constants, outage_z):
     """Reference max_range: the scan as one scalar objective call per point.
 
@@ -241,11 +246,11 @@ def loop_max_range(m, constants, outage_z):
         return mean - sens
 
     last_ok = first_bad_after = None
-    for d in np.geomspace(m.d0, RANGE_SEARCH_MAX, 4097):
-        if objective(float(d)) >= 0.0:
-            last_ok, first_bad_after = float(d), None
+    for d in libm_grid(m.d0):
+        if objective(d) >= 0.0:
+            last_ok, first_bad_after = d, None
         elif first_bad_after is None:
-            first_bad_after = float(d)
+            first_bad_after = d
     if last_ok is None:
         raise DataError(
             "margin-adjusted signal is below sensitivity everywhere at and "
@@ -276,12 +281,6 @@ def outcome(plan_fn, *args):
         return plan_fn(*args)
     except (DataError, NumericalError) as exc:
         return exc
-
-
-def side(sigma, d):
-    if not isinstance(sigma, SigmaPolynomial):
-        return 0
-    return -1 if d < sigma.d_min else (1 if d > sigma.d_max else 0)
 
 
 def quartics(low):
@@ -328,13 +327,8 @@ def test_max_range_matches_per_point_loop(eta, rss_d0, d0, sigma, gap, z):
         assert type(got) is type(want)
         assert str(got) == str(want)
         return
-    # np.log10 may differ from math.log10 by one ulp, which can move a grid
-    # point across the boundary; the answers then differ within tolerance.
-    assert abs(got.max_range - want.max_range) <= RANGE_TOLERANCE
-    if side(sigma, got.max_range) == side(sigma, want.max_range):
-        assert got.clamped == want.clamped
-        if got.max_range == want.max_range or got.clamped:
-            assert got.margin_db == want.margin_db
+    # The scan evaluates the loop's objective at the loop's points: one bracket.
+    assert got == want and repr(got) == repr(want)
 
 
 def test_uninvertible_endpoint_error_names_the_reading():
@@ -437,9 +431,9 @@ def public_bisection(m, constants, outage_z):
     The scan is the library's own; None when max_range must refuse it.
     """
     sens = constants.receiver_sensitivity
-    grid = np.geomspace(m.d0, RANGE_SEARCH_MAX, 4097)
+    grid, x = _scan_grid(m.d0)
     with np.errstate(over="ignore", invalid="ignore"):
-        signal = mean_rss_curve(m, grid)
+        signal = m.rss_d0 - m.eta * x
         if outage_z != 0.0:
             signal -= outage_z * sigma_curve(m.sigma, grid)
         ok = np.flatnonzero(signal - sens >= 0.0)
@@ -493,17 +487,19 @@ def test_max_range_equals_the_public_bisection_bit_for_bit(
 
 def test_the_scan_grid_is_built_once_per_d0_and_never_written():
     m = model(eta=2.5, d0=1.7, sigma=ConstantSigma(4.0))
-    grid = _scan_grid(m.d0)
-    fresh = np.geomspace(m.d0, RANGE_SEARCH_MAX, 4097)
-    assert grid.tobytes() == fresh.tobytes() and grid.dtype == fresh.dtype
-    assert _scan_grid(1.7) is grid
-    assert not grid.flags.writeable
-    with pytest.raises(ValueError):
-        grid[0] = 0.0
-    before = grid.tobytes()
+    scan = grid, x = _scan_grid(m.d0)
+    # The points and their x = 10*log10(d/d0) are libm's, not numpy's SIMD ones.
+    assert grid.tolist() == libm_grid(1.7) and grid.dtype == np.float64
+    assert x.tolist() == [10.0 * math.log10(d / 1.7) for d in libm_grid(1.7)]
+    assert _scan_grid(1.7) is scan
+    for column in scan:
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0.0
+    before = grid.tobytes(), x.tobytes()
     for z in (0.0, 1.28, 1.96):
         max_range(m, LinkConstants(), outage_z=z)
-    assert grid.tobytes() == before
+    assert (grid.tobytes(), x.tobytes()) == before
     # Models that share d0 share the grid, and nothing else.
     sigma = SigmaPolynomial(a=0, b=0, c=0.01, e=0.2, f=3.0, d_min=1.0, d_max=20.0)
     for eta in (1.8, 3.1):

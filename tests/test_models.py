@@ -25,7 +25,7 @@ from rssifit import (
     sigma_at,
     two_ray_rx,
 )
-from rssifit.models import _sigma, mean_rss_curve, sigma_curve
+from rssifit.models import _sigma, sigma_curve
 
 
 def test_free_space_power_quarters_when_distance_doubles():
@@ -110,16 +110,8 @@ def test_constant_sigma_never_clamps():
 _OVERFLOWING = SigmaPolynomial(a=1e305, b=0, c=0, e=0, f=1.0, d_min=1.0, d_max=20.0)
 
 
-def test_curves_match_scalar_evaluations():
+def test_sigma_curve_matches_scalar_evaluations():
     d = np.geomspace(0.3, 1e6, 301)
-    m = ShadowedPathLossModel(d0=1.5, rss_d0=-47.3, eta=2.31)
-    # np.log10 and math.log10 may differ in the last place
-    np.testing.assert_allclose(
-        mean_rss_curve(m, d),
-        [predict_mean_rss(m, float(x)) for x in d],
-        rtol=0.0,
-        atol=1e-12,
-    )
     for sigma in (
         SigmaPolynomial(
             a=2.6e-6, b=0.0062, c=-0.23, e=2.4, f=-1.7, d_min=1.0, d_max=20.0
@@ -254,11 +246,13 @@ def test_a_distance_whose_ratio_to_d0_underflows_is_refused_by_name():
 
 
 def test_a_mean_that_overflows_is_refused_by_name():
-    # 10 * eta overflows: inf * log10(1) is nan at d0, -inf beyond it.
+    # eta * x overflows at x = 10 * log10(d / d0) = +-10. At d0, x is 0 and
+    # the mean is rss_d0 exactly: eta * 0 forms no 10 * eta to overflow.
     huge = ShadowedPathLossModel(d0=1.0, rss_d0=-40.0, eta=1e308)
-    for d in (1.0, 10.0, 0.1):
+    for d in (10.0, 0.1):
         with pytest.raises(DataError, match=f"mean RSS at d {d!r} m overflows"):
             predict_mean_rss(huge, d)
+    assert predict_mean_rss(huge, 1.0) == -40.0
     # A finite mean of any size is still returned; one step beyond, refused.
     big = ShadowedPathLossModel(d0=1.0, rss_d0=-40.0, eta=1e307)
     assert predict_mean_rss(big, 10.0) == -40.0 - 1e308

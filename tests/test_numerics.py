@@ -459,16 +459,63 @@ print(repr(stationarity_sums(stats, fit_sigma_polynomial(stats).sigma)))
 """
 
 
+# numpy's AVX-512 targets, switched off by NPY_DISABLE_CPU_FEATURES.
+NO_AVX512 = "AVX512_SPR,AVX512_ICL,AVX512_CNL,AVX512_CLX,AVX512_SKX,X86_V4"
+
+
 def test_stationarity_sums_do_not_depend_on_the_simd_dispatch():
     # np.power's AVX-512 kernels round d^3 and d^4 differently from the
     # baseline's. Powers taken as repeated products do not: the sums come out
     # the same with those targets switched off. Elsewhere both runs agree
     # trivially.
-    disabled = "AVX512_SPR,AVX512_ICL,AVX512_CNL,AVX512_CLX,AVX512_SKX,X86_V4"
     outputs = _outputs(
         STATIONARITY_REPR,
-        {"NPY_DISABLE_CPU_FEATURES": disabled},
+        {"NPY_DISABLE_CPU_FEATURES": NO_AVX512},
         {"NPY_DISABLE_CPU_FEATURES": None},
     )
     assert outputs[0].count("\n") == 1
+    assert outputs[0] == outputs[1]
+
+
+TREND_DIGESTS = """
+import hashlib
+import numpy as np
+from rssifit import DistanceStats, LinkConstants, ShadowedPathLossModel, SurveyStats
+from rssifit import embedded_dataset, fit_path_loss, fit_sigma_polynomial, max_range
+rng = np.random.default_rng(11)
+fits, sigmas = hashlib.sha256(), hashlib.sha256()
+for _ in range(300):
+    d = np.unique(rng.uniform(0.5, 200.0, 20)).tolist()
+    means = rng.uniform(-95.0, -40.0, len(d)).tolist()
+    rows = map(DistanceStats, d, means, [2.0] * len(d), [10] * len(d))
+    stats = SurveyStats("dispatch", rows)
+    for mode in ("free", "anchored"):
+        trend = fit_path_loss(stats, d0=rng.uniform(0.5, 5.0), intercept_mode=mode)
+        fits.update(repr(trend).encode())
+        sigma = fit_sigma_polynomial(stats, "residual_y", trend.model)
+        sigmas.update(repr(sigma).encode())
+longwall = embedded_dataset("longwall-face").stats
+trend = fit_path_loss(longwall).model
+sigma = fit_sigma_polynomial(longwall, trend=trend).sigma
+model = ShadowedPathLossModel(trend.d0, trend.rss_d0, trend.eta, sigma)
+plans = [
+    max_range(model, LinkConstants(-60.0 - 0.2 * k), z)
+    for k in range(200) for z in (0.0, 1.96)
+]
+print(fits.hexdigest(), sigmas.hexdigest(), len(plans))
+print(hashlib.sha256(repr(plans).encode()).hexdigest())
+"""
+
+
+def test_trend_fits_and_plans_do_not_depend_on_the_simd_dispatch():
+    # numpy's AVX-512 log10 differs from the baseline's in the last place for
+    # ~3% of doubles. The trend's regressor, its fitted values and max_range's
+    # scan take libm's log10, so 600 trend fits on random surveys, their
+    # residual_y sigma fits and 400 plans come out the same bits either way.
+    outputs = _outputs(
+        TREND_DIGESTS,
+        {"NPY_DISABLE_CPU_FEATURES": NO_AVX512},
+        {"NPY_DISABLE_CPU_FEATURES": None},
+    )
+    assert outputs[0].count("\n") == 2
     assert outputs[0] == outputs[1]
