@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,6 +119,23 @@ class FitReport:
         return self.model.rss_d0
 
 
+@lru_cache(maxsize=16)
+def _regressor(d_bytes: bytes, d0: float) -> np.ndarray:
+    """The model's x = 10*log10(d/d0) per distance, by libm, read-only."""
+    d = np.frombuffer(d_bytes).tolist()
+    try:
+        x = np.array([_log_distance(v, d0) for v in d])
+        if not np.all(np.isfinite(x)):  # some d/d0 overflowed
+            raise ValueError
+    except ValueError:  # or underflowed to 0
+        raise DataError(
+            f"d0 = {d0!r} takes d/d0 outside the float range for these "
+            "distances"
+        ) from None
+    x.flags.writeable = False
+    return x
+
+
 def fit_path_loss(
     stats: SurveyStats, d0: float = 1.0, intercept_mode: str = "free"
 ) -> FitReport:
@@ -135,16 +153,7 @@ def fit_path_loss(
         raise InsufficientDataError(
             f"need at least 3 distinct distances to fit a trend, got {d.size}"
         )
-    # Regressor: the model's x = 10*log10(d/d0). Slope -eta, intercept rss_d0.
-    try:
-        x = np.array([_log_distance(v, d0) for v in d.tolist()])
-        if not np.all(np.isfinite(x)):  # some d/d0 overflowed
-            raise ValueError
-    except ValueError:  # or underflowed to 0
-        raise DataError(
-            f"d0 = {d0!r} takes d/d0 outside the float range for these "
-            "distances"
-        ) from None
+    x = _regressor(d.tobytes(), d0)  # slope -eta, intercept rss_d0
     free = intercept_mode == "free"
     # Anchored, rss_d0 is the mean of the row nearest d0 (of two as near,
     # argmin takes the smaller distance) and only the slope is solved for.

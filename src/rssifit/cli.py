@@ -364,10 +364,12 @@ def _cmd_simulate(args):
     data = save_survey_csv(survey) if args.out or args.format == "csv" else None
     if args.out:
         Path(args.out).write_bytes(data)
+    samples = np.split(survey.samples, np.cumsum(survey.counts)[:-1])
     payload = _payload(
         "simulate", site=survey.site, seed=spec.seed,
         samples_per_distance=spec.samples_per_distance,
-        rows=[{"distance_m": d, "samples_dbm": s} for d, s in survey.rows],
+        rows=[{"distance_m": d, "samples_dbm": s.tolist()}
+              for d, s in zip(survey.distances.tolist(), samples)],
     )
     lines = [
         f"simulated {survey.n_samples} samples at {len(survey.distances)} distances "

@@ -27,17 +27,19 @@ refinement was tried and removed: one refinement step made the stationarity
 sums slightly worse (residual rounding dominates at this scale). The QR path
 exists for condition estimates beyond 1e12, where elimination through the
 normal equations can no longer be trusted; a rescaled fit in d/d_max covers
-surveys whose span pushes the moments there. A DenseSystem estimates its
-condition once; the QR fallback and the refit both read that estimate. A
-span float64 cannot carry (raw moments that overflow, or d_max^k that
-underflows when the refit is undone) is refused by name.
+surveys whose span pushes the moments there. A moment matrix, its condition
+estimate (which the QR fallback and the refit both read) and its factors are
+computed once per distance set, in a cache of the 16 sets last used, each
+keyed by the bytes of its distances; a fit sums and solves only its
+right-hand side. A span float64 cannot carry (raw moments that overflow, or
+d_max^k that underflows when the refit is undone) is refused by name.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,62 +54,30 @@ from .errors import (
 CONDITION_FALLBACK = 1e12
 
 
-def _as_matrix(a: object) -> np.ndarray:
-    m = np.array(a, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DataError(f"matrix must be square 2-D, got shape {m.shape}")
-    if m.shape[0] == 0:
-        raise DataError("matrix must be non-empty")
-    if not np.isfinite(m).all():
-        raise DataError("matrix entries must be finite")
-    return m
+class _Factored:
+    """A validated read-only matrix and what it alone fixes, each computed on
+    first use: its condition estimate and its partial-pivot factors."""
 
-
-def _as_rhs(b: object, n: int) -> np.ndarray:
-    v = np.array(b, dtype=np.float64)
-    if v.shape != (n,):
-        raise DataError(f"rhs must have shape ({n},), got {v.shape}")
-    if not np.isfinite(v).all():
-        raise DataError("rhs entries must be finite")
-    return v
-
-
-@dataclass(frozen=True, eq=False)
-class DenseSystem:
-    """A validated square system A x = b, arrays frozen read-only."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-    def __init__(self, matrix: object, rhs: object) -> None:
-        m = _as_matrix(matrix)
-        v = _as_rhs(rhs, m.shape[0])
+    def __init__(self, matrix: object) -> None:
+        m = np.array(matrix, dtype=np.float64)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DataError(f"matrix must be square 2-D, got shape {m.shape}")
+        if m.shape[0] == 0:
+            raise DataError("matrix must be non-empty")
+        if not np.isfinite(m).all():
+            raise DataError("matrix entries must be finite")
         m.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "rhs", v)
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
+        self.matrix = m
 
     @cached_property
     def condition_estimate(self) -> float:
-        """2-norm condition number of ``matrix``, computed on first use.
-
-        ``inf`` for a singular matrix. Sizes 1 and 2 use a closed form in
-        plain floats; larger systems call ``np.linalg.cond`` (an SVD in
-        LAPACK), whose last digits vary with the LAPACK build. The estimate
-        only decides the QR fallback and the quartic's refit against
-        :data:`CONDITION_FALLBACK`; read it as an order of magnitude.
-        """
-        if self.size > 2:
+        if len(self.matrix) > 2:
             return float(np.linalg.cond(self.matrix))
         entries = self.matrix.ravel().tolist()
         top = max(map(abs, entries))
         if not top:
             return math.inf
-        if self.size == 1:
+        if len(self.matrix) == 1:
             return 1.0
         # Divided by the largest entry first, so that nothing below overflows
         # and only a determinant far below it underflows (to 0: singular).
@@ -120,6 +90,71 @@ class DenseSystem:
         sigma_max = (math.hypot(a + d, b - c) + math.hypot(a - d, b + c)) / 2
         return sigma_max * sigma_max / det
 
+    @cached_property
+    def factors(self) -> tuple[tuple, tuple[tuple[float, ...], ...], tuple[float, ...]]:
+        """Partial-pivot elimination in Python floats: per column the row swapped
+        in and the multipliers below it, the upper triangle, the pivot sizes."""
+        a = self.matrix.tolist()
+        n = len(a)
+        steps, pivots = [], []
+        for k in range(n):
+            # max() keeps the first row among ties, which makes the elimination
+            # order deterministic for symmetric inputs.
+            p = max(range(k, n), key=lambda i: abs(a[i][k]))
+            row = a[p]
+            pivot = row[k]
+            if pivot == 0.0:
+                raise SingularMatrixError(
+                    f"zero pivot in column {k}: matrix is singular"
+                )
+            a[k], a[p] = row, a[k]
+            pivots.append(abs(pivot))
+            # Column k below the pivot is never read again, so it is not zeroed.
+            column = [target[k] / pivot for target in a[k + 1:]]
+            for target, factor in zip(a[k + 1:], column):
+                for j in range(k + 1, n):
+                    target[j] -= factor * row[j]
+            steps.append((p, tuple(column)))
+        # Tuples: one cached matrix hands its factors to every solve.
+        return tuple(steps), tuple(map(tuple, a)), tuple(pivots)
+
+
+@dataclass(frozen=True, eq=False)
+class DenseSystem:
+    """A validated square system A x = b, arrays frozen read-only."""
+
+    matrix: np.ndarray
+    rhs: np.ndarray
+    _half: _Factored = field(repr=False)
+
+    def __init__(self, matrix: object, rhs: object) -> None:
+        half = matrix if isinstance(matrix, _Factored) else _Factored(matrix)
+        n, v = len(half.matrix), np.array(rhs, dtype=np.float64)
+        if v.shape != (n,):
+            raise DataError(f"rhs must have shape ({n},), got {v.shape}")
+        if not np.isfinite(v).all():
+            raise DataError("rhs entries must be finite")
+        v.flags.writeable = False
+        object.__setattr__(self, "matrix", half.matrix)
+        object.__setattr__(self, "rhs", v)
+        object.__setattr__(self, "_half", half)
+
+    @property
+    def size(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def condition_estimate(self) -> float:
+        """2-norm condition number of ``matrix``, computed once per matrix half.
+
+        ``inf`` for a singular matrix. Sizes 1 and 2 use a closed form in
+        plain floats; larger systems call ``np.linalg.cond`` (an SVD in
+        LAPACK), whose last digits vary with the LAPACK build. The estimate
+        only decides the QR fallback and the quartic's refit against
+        :data:`CONDITION_FALLBACK`; read it as an order of magnitude.
+        """
+        return self._half.condition_estimate
+
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
@@ -129,36 +164,6 @@ class SolveDiagnostics:
     condition_estimate: float
     used_orthogonal: bool = False
     scaled: bool = False
-
-
-def _eliminate(
-    a: list[list[float]], b: list[float]
-) -> tuple[list[float], tuple[float, ...]]:
-    """In-place partial-pivot elimination; returns solution and pivot sizes."""
-    n = len(a)
-    pivots = []
-    for k in range(n):
-        # max() keeps the first row among ties, which makes the elimination
-        # order deterministic for symmetric inputs.
-        p = max(range(k, n), key=lambda i: abs(a[i][k]))
-        row = a[p]
-        pivot = row[k]
-        if pivot == 0.0:
-            raise SingularMatrixError(
-                f"zero pivot in column {k}: matrix is singular"
-            )
-        if p != k:
-            a[k], a[p] = row, a[k]
-            b[k], b[p] = b[p], b[k]
-        pivots.append(abs(pivot))
-        # Column k below the pivot is never read again, so it is not zeroed.
-        for i in range(k + 1, n):
-            target = a[i]
-            factor = target[k] / pivot
-            for j in range(k + 1, n):
-                target[j] -= factor * row[j]
-            b[i] -= factor * b[k]
-    return _back_substitute(a, b), tuple(pivots)
 
 
 def _back_substitute(r: list[list[float]], y: list[float]) -> list[float]:
@@ -211,8 +216,14 @@ def solve_dense(system: DenseSystem) -> tuple[np.ndarray, SolveDiagnostics]:
     if not cond <= CONDITION_FALLBACK:
         x = orthogonal_solve(system)
         return x, SolveDiagnostics((), cond, used_orthogonal=True)
-    x, pivots = _eliminate(system.matrix.tolist(), system.rhs.tolist())
-    return np.array(x), SolveDiagnostics(pivots, cond)
+    steps, upper, pivots = system._half.factors
+    # The rhs takes the elimination's swaps and updates, in their order.
+    b = system.rhs.tolist()
+    for k, (p, column) in enumerate(steps):
+        b[k], b[p] = b[p], b[k]
+        for i, factor in enumerate(column, k + 1):
+            b[i] -= factor * b[k]
+    return np.array(_back_substitute(upper, b)), SolveDiagnostics(pivots, cond)
 
 
 def _pair(a: object, b: object, names: str) -> tuple[np.ndarray, np.ndarray]:
@@ -266,6 +277,20 @@ def _power_sums(d: np.ndarray, top: int, y: np.ndarray | None = None) -> list[fl
 _QUARTIC = (4, 3, 2, 1, 0)  # the quartic's powers of d, highest first
 
 
+@lru_cache(maxsize=16)
+def _moment_matrix(d_bytes: bytes, powers: tuple[int, ...]) -> _Factored | None:
+    """_moment_system's matrix half, or None if a line's moments overflow."""
+    d, top = np.frombuffer(d_bytes), powers[0]
+    moments = _power_sums(d, 2 * top)
+    # No entry exceeds n + sum(d^(2*top)) in size, so a finite corner means
+    # a finite matrix.
+    if math.isfinite(moments[2 * top]):
+        return _Factored([[moments[p + q] for q in powers] for p in powers])
+    if top > 1:
+        raise _out_of_range(d, f"the moment sums of d^{2 * top} overflow")
+    return None
+
+
 def _moment_system(
     d: np.ndarray, y: np.ndarray, powers: tuple[int, ...], names: str
 ) -> DenseSystem:
@@ -274,18 +299,12 @@ def _moment_system(
     Matrix entry (i, j) is sum(d^(p_i + p_j)), rhs entry i sum(y * d^p_i). A
     sum that overflows is refused naming ``names``, or above a line the span.
     """
-    top = powers[0]
-    moments = _power_sums(d, 2 * top)
-    weighted = _power_sums(d, top, y)
+    half = _moment_matrix(d.tobytes(), powers)
+    weighted = _power_sums(d, powers[0], y)
     rhs = [weighted[p] for p in powers]
-    # No entry exceeds n + sum(d^(2*top)) in size, so a finite corner means
-    # a finite matrix.
-    corner = moments[2 * top]
-    if not math.isfinite(corner) and top > 1:
-        raise _out_of_range(d, f"the moment sums of d^{2 * top} overflow")
-    if not all(map(math.isfinite, (corner, *rhs))):
+    if half is None or not all(map(math.isfinite, rhs)):
         raise DataError(f"{names} are too large: a normal-equation sum overflows")
-    return DenseSystem([[moments[p + q] for q in powers] for p in powers], rhs)
+    return DenseSystem(half, rhs)
 
 
 @dataclass(frozen=True)

@@ -352,6 +352,25 @@ def test_simulate_writes_survey_and_matches_library(capsys, tmp_path):
     assert loaded.rows == direct.rows
 
 
+def test_simulate_json_rows_hold_the_library_survey(capsys, tmp_path):
+    model = ShadowedPathLossModel(
+        d0=1.0, rss_d0=-40.0, eta=2.0,
+        sigma=SigmaPolynomial(a=0, b=0, c=0, e=0.1, f=2.0, d_min=1.0, d_max=9.0),
+    )
+    model_path = tmp_path / "m.json"
+    model_path.write_bytes(model_to_json(model))
+    payload = run_json(
+        capsys, "simulate", "--model", str(model_path),
+        "--distances", "1,2.5,9", "--samples", "6", "--seed", "4",
+    )
+    direct = simulate_survey(
+        SimulationSpec(model=model, distances=(1.0, 2.5, 9.0),
+                       samples_per_distance=6, seed=4)
+    )
+    rows = [(r["distance_m"], tuple(r["samples_dbm"])) for r in payload["rows"]]
+    assert tuple(rows) == direct.rows
+
+
 def test_simulate_distance_specs(capsys, tmp_path):
     model_path = tmp_path / "m.json"
     model_path.write_bytes(

@@ -5,11 +5,12 @@ import platform
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import rssifit
@@ -22,6 +23,9 @@ from rssifit import (
     InsufficientDataError,
     SingularMatrixError,
     SurveyStats,
+    dataset_names,
+    embedded_dataset,
+    fit_path_loss,
     fit_sigma_polynomial,
     ols_line,
     orthogonal_solve,
@@ -30,7 +34,9 @@ from rssifit import (
     solve_dense,
     stationarity_sums,
 )
-from rssifit.numerics import _moment_system
+from rssifit import calibration
+from rssifit.calibration import INTERCEPT_MODES, SIGMA_TARGETS
+from rssifit.numerics import _moment_matrix, _moment_system
 
 QUARTIC = (4, 3, 2, 1, 0)
 
@@ -259,24 +265,171 @@ def test_polyval_horner_matches_numpy():
     )
 
 
-def test_quartic_fit_estimates_the_raw_condition_once(monkeypatch):
-    # One estimate per DenseSystem: the raw moments alone (1..20 m), or the
+def test_quartic_fit_estimates_the_condition_once_per_distance_set(monkeypatch):
+    # One estimate per distance set: the raw moments alone (1..20 m), or the
     # raw and the d/d_max moments of a refit (100..2000 m), and the raw
-    # estimate is the one reported either way.
+    # estimate is the one reported either way. A second fit on the same
+    # distances, whatever its y, reads the cached estimates.
     cond = np.linalg.cond
+    calls = []
+    monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(m.shape) or cond(m))
     for d, systems in ((np.arange(1.0, 21.0), 1), (np.linspace(100.0, 2000.0, 25), 2)):
+        _moment_matrix.cache_clear()
         y = 0.01 * d**2 + 1.0
-        expected = polyfit_quartic(d, y).diagnostics
-        assert expected.scaled == (systems == 2)
-        raw = _moment_system(d, y, QUARTIC, "d and y")
-        assert expected.condition_estimate == cond(raw.matrix)
-        calls = []
-        monkeypatch.setattr(
-            np.linalg, "cond", lambda m: calls.append(m.shape) or cond(m)
-        )
-        assert polyfit_quartic(d, y).diagnostics == expected
+        first = polyfit_quartic(d, y).diagnostics
         assert calls == [(5, 5)] * systems
-        monkeypatch.undo()
+        assert first.scaled == (systems == 2)
+        raw = _moment_system(d, y, QUARTIC, "d and y")
+        assert first.condition_estimate == cond(raw.matrix)
+        calls.clear()
+        second = polyfit_quartic(d, 3.0 - 0.02 * d).diagnostics
+        assert calls == []
+        assert second.condition_estimate == first.condition_estimate
+        assert second.scaled == first.scaled
+
+
+def eliminate_reference(a, b):
+    """The one-pass partial-pivot elimination that solve_dense replaced: rhs
+    and matrix reduced together, then back-substituted as solve_dense does."""
+    n = len(a)
+    pivots = []
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(a[i][k]))
+        row = a[p]
+        pivot = row[k]
+        if pivot == 0.0:
+            raise SingularMatrixError(f"zero pivot in column {k}")
+        if p != k:
+            a[k], a[p] = row, a[k]
+            b[k], b[p] = b[p], b[k]
+        pivots.append(abs(pivot))
+        for i in range(k + 1, n):
+            target = a[i]
+            factor = target[k] / pivot
+            for j in range(k + 1, n):
+                target[j] -= factor * row[j]
+            b[i] -= factor * b[k]
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        total = 0.0
+        for j in range(k + 1, n):
+            total += a[k][j] * x[j]
+        x[k] = (b[k] - total) / a[k][k]
+    return x, tuple(pivots)
+
+
+# Small integers make pivot ties and row swaps common; wide floats do not.
+_ENTRIES = st.one_of(
+    st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, 4.0]),
+    st.floats(-1e6, 1e6, allow_subnormal=False),
+)
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(1, 6))
+    vectors = st.lists(_ENTRIES, min_size=n, max_size=n)
+    return draw(st.lists(vectors, min_size=n, max_size=n)), draw(vectors), draw(vectors)
+
+
+@given(square_systems())
+@example(([[1.0, 2.0], [-1.0, 3.0]], [1.0, 1.0], [0.0, 2.0]))  # a pivot tie
+@example(([[0.0, 1.0], [1.0, 0.0]], [1.0, 2.0], [3.0, 4.0]))  # a row swap
+def test_solve_dense_gives_the_bits_of_one_pass_elimination(case):
+    # Each rhs solved against one matrix's stored factors, the second through
+    # the shared matrix half, gives the bits of reducing matrix and rhs
+    # together.
+    a, b, c = case
+    system = DenseSystem(a, b)
+    assume(system.condition_estimate <= CONDITION_FALLBACK)
+    for rhs, solved in ((b, system), (c, DenseSystem(system._half, c))):
+        x, diag = solve_dense(solved)
+        assert not diag.used_orthogonal
+        want_x, want_pivots = eliminate_reference([r[:] for r in a], list(rhs))
+        assert x.tolist() == want_x
+        assert diag.pivot_magnitudes == want_pivots
+
+
+def _caches_clear():
+    _moment_matrix.cache_clear()
+    calibration._regressor.cache_clear()
+
+
+def _wide_span():
+    d = np.linspace(100.0, 2000.0, 25)
+    rows = [
+        DistanceStats(x, -40.0 - 0.01 * x, 1.0 + 1e-3 * x + 0.1 * (i % 3), 10)
+        for i, x in enumerate(d.tolist())
+    ]
+    return SurveyStats("wide", rows)
+
+
+def test_fits_give_the_same_reports_from_a_cold_and_a_warm_cache():
+    surveys = [embedded_dataset(name).stats for name in dataset_names()]
+    surveys = [s for s in surveys if s is not None] + [_wide_span()]
+    assert len(surveys) == 3
+    for stats, d0 in zip(surveys, (1.0, 1.0, 100.0)):
+        fits = [partial(fit_path_loss, stats, d0, m) for m in INTERCEPT_MODES]
+        fits += [partial(fit_sigma_polynomial, stats, t) for t in SIGMA_TARGETS]
+        for fit in fits:
+            _caches_clear()
+            cold = fit()
+            warm = fit()
+            assert warm == cold
+            assert warm.diagnostics == cold.diagnostics
+            assert repr(warm) == repr(cold)
+    assert fit_sigma_polynomial(_wide_span()).diagnostics.scaled
+
+
+def test_an_overflowing_distance_set_is_refused_alike_on_every_call():
+    far = np.geomspace(1e37, 1e39, 8)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DataError) as caught:
+            polyfit_quartic(far, np.ones(8))
+        messages.append(str(caught.value))
+        with pytest.raises(DataError) as caught:
+            ols_line([1e200, 2e200, 3e200], [1.0, 2.0, 3.0])
+        messages.append(str(caught.value))
+    assert messages[:2] == messages[2:]
+    assert messages[0].endswith("the moment sums of d^8 overflow")
+    assert messages[1] == "x and y are too large: a normal-equation sum overflows"
+
+
+def test_a_singular_system_is_refused_on_every_solve():
+    system = DenseSystem([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0])
+    for _ in range(2):
+        with pytest.raises(SingularMatrixError):
+            solve_dense(system)
+        # The factors themselves (never cached when they fail) refuse it too.
+        with pytest.raises(SingularMatrixError):
+            system._half.factors
+
+
+def test_the_cached_arrays_are_read_only():
+    d = np.arange(1.0, 21.0)
+    system = _moment_system(d, np.ones(20), QUARTIC, "d and y")
+    x = calibration._regressor(d.tobytes(), 1.0)
+    assert x is calibration._regressor(d.tobytes(), 1.0)
+    assert system.matrix is _moment_matrix(d.tobytes(), QUARTIC).matrix
+    for array in (system.matrix, system.rhs, x):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_seventeen_distance_sets_evict_one_and_change_no_result():
+    _caches_clear()
+    sets = [np.append(np.arange(1.0, 20.0), 20.0 + k / 16) for k in range(17)]
+    y = np.sin(np.arange(20.0)) + 3.0
+    first = [polyfit_quartic(d, y) for d in sets]
+    info = _moment_matrix.cache_info()
+    assert (info.misses, info.currsize) == (17, 16)
+    assert polyfit_quartic(sets[-1], y) == first[-1]
+    assert _moment_matrix.cache_info().misses == 17  # the newest is kept
+    assert polyfit_quartic(sets[0], y) == first[0]
+    assert _moment_matrix.cache_info().misses == 18  # the oldest was evicted
+    assert [polyfit_quartic(d, y) for d in sets] == first
 
 
 def moment_reference(d, y, powers):
