@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DataError, DegenerateDataError, InsufficientDataError
 from .errors import integer, nonnegative, one_of, positive, real, settle
-from .models import ShadowedPathLossModel, SigmaPolynomial, predict_mean_rss
-from .models import _log_distance
+from .models import INTERCEPT_MODES, SIGMA_TARGETS, ShadowedPathLossModel
+from .models import SigmaPolynomial, _log_distance, predict_mean_rss
 from .numerics import (
     SolveDiagnostics,
     _moment_system,
@@ -43,9 +43,6 @@ from .surveys import SurveyStats
 # Divisor turning an absolute residual into a spread proxy: the residual is
 # read as the half-width of a 95% two-sided normal interval.
 RESIDUAL_Z = 1.96
-
-INTERCEPT_MODES = ("free", "anchored")
-SIGMA_TARGETS = ("sample_sd", "residual_y")
 
 
 @dataclass(frozen=True)

@@ -19,22 +19,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .calibration import (
-    INTERCEPT_MODES,
-    SIGMA_TARGETS,
-    FitReport,
-    fit_path_loss,
-    fit_sigma_polynomial,
-)
-from .datasets import PUBLISHED_FITS, PublishedFit, dataset_names, embedded_dataset
 from .dataio import (
     csv_text,
     load_stats_csv,
@@ -44,11 +38,17 @@ from .dataio import (
     save_stats_csv,
     save_survey_csv,
 )
-from .errors import DataError, NumericalError, RssifitError, probability
-from .localization import confidence_interval, estimate_distance, max_range
-from .models import LinkConstants, ShadowedPathLossModel, predict_mean_rss, sigma_at
-from .simulate import SimulationSpec, check_survey_size, simulate_survey
+from .errors import DataError, NumericalError, RssifitError, probability, real
+from .models import INTERCEPT_MODES, SIGMA_TARGETS, LinkConstants
+from .models import ShadowedPathLossModel, predict_mean_rss, sigma_at
 from .surveys import SurveyStats
+
+# The modules above build the parser and render every command. Each command
+# imports the rest of what it runs, so a process loads no more: predict
+# nothing else, localize and plan only localization, simulate only simulate.
+if TYPE_CHECKING:
+    from .calibration import FitReport
+    from .datasets import PublishedFit
 
 OUTPUT_FORMAT_VERSION = 1
 
@@ -96,9 +96,10 @@ def _table(header: tuple[str, ...], records) -> tuple:
     return header, ([r[k] for k in header] for r in records)
 
 
-def _emit(fmt: str, payload: dict, table, lines) -> None:
+def _emit(fmt: str, payload: dict | None, table, lines) -> None:
     """Write the rendering ``fmt`` asks for: the only writer of command output.
 
+    ``payload`` is read only for json; a command may leave it None otherwise.
     ``table`` is a (header, rows) pair, the bytes a CSV codec already made,
     or None for a command with no table, which then writes its text lines.
     """
@@ -113,6 +114,9 @@ def _emit(fmt: str, payload: dict, table, lines) -> None:
 
 def _calibrate(args) -> tuple[SurveyStats, dict, PublishedFit | None, FitReport]:
     """Fit and sigma-fit's front: the stats source, published values, trend."""
+    from .calibration import fit_path_loss
+    from .datasets import PUBLISHED_FITS, dataset_names, embedded_dataset
+
     if args.source in dataset_names():
         record = embedded_dataset(args.source)
         if record.stats is None:
@@ -201,6 +205,8 @@ _COEFFICIENTS = ("a", "b", "c", "e", "f")
 
 
 def _cmd_sigma_fit(args):
+    from .calibration import fit_sigma_polynomial
+
     stats, source, published, trend = _calibrate(args)
     report = fit_sigma_polynomial(stats, target=args.target, trend=trend.model)
     sigma, gof = report.sigma, report.fit
@@ -271,6 +277,8 @@ def _metres(value: float) -> str:
 
 
 def _cmd_localize(args):
+    from .localization import confidence_interval, estimate_distance
+
     model = _load_model(args.model)
     # Checked first for every model, as confidence_interval checks it.
     probability("level", args.level)
@@ -302,6 +310,8 @@ def _cmd_localize(args):
 
 
 def _cmd_plan(args):
+    from .localization import max_range
+
     model = _load_model(args.model)
     constants = LinkConstants(receiver_sensitivity=args.sensitivity)
     plan = max_range(model, constants, outage_z=args.z)
@@ -332,18 +342,25 @@ def _cmd_plan(args):
 
 def _parse_distances(text: str, samples: int) -> tuple[float, ...]:
     """Parse '1:20', '0.5:20:0.5', or '1,2,5.5' into distances."""
+    from .simulate import check_survey_size
+
     try:
         if ":" in text:
             parts = [parse_number(p) for p in text.split(":")]
             if len(parts) not in (2, 3):
                 raise ValueError("expected start:stop or start:stop:step")
             start, stop, step = parts if len(parts) == 3 else (*parts, 1.0)
+            for name, value in zip(("start", "stop", "step"), (start, stop, step)):
+                real(name, value)  # nan and the infinities, refused by name
             if step <= 0:
                 raise ValueError("step must be > 0")
             if stop < start:
                 raise ValueError("stop must be >= start")
-            count = int((stop - start) / step + 1e-9) + 1  # int() floors: it is > 0
-            check_survey_size(count, samples)  # before building a point
+            span = (stop - start) / step + 1e-9  # inf if the division overflows
+            # int() floors, so the count is > 0; an infinite one is refused
+            # as it is, before building a point.
+            count = int(span) + 1 if span < math.inf else span
+            check_survey_size(count, samples)
             return tuple((start + np.arange(count) * step).tolist())
         distances = tuple(parse_number(p) for p in text.split(","))
         check_survey_size(len(distances), samples)
@@ -353,6 +370,8 @@ def _parse_distances(text: str, samples: int) -> tuple[float, ...]:
 
 
 def _cmd_simulate(args):
+    from .simulate import SimulationSpec, simulate_survey
+
     spec = SimulationSpec(
         model=_load_model(args.model),
         distances=_parse_distances(args.distances, args.samples),
@@ -364,13 +383,15 @@ def _cmd_simulate(args):
     data = save_survey_csv(survey) if args.out or args.format == "csv" else None
     if args.out:
         Path(args.out).write_bytes(data)
-    samples = np.split(survey.samples, np.cumsum(survey.counts)[:-1])
-    payload = _payload(
-        "simulate", site=survey.site, seed=spec.seed,
-        samples_per_distance=spec.samples_per_distance,
-        rows=[{"distance_m": d, "samples_dbm": s.tolist()}
-              for d, s in zip(survey.distances.tolist(), samples)],
-    )
+    payload = None  # built only for json: its rows box every sample
+    if args.format == "json":
+        samples = np.split(survey.samples, np.cumsum(survey.counts)[:-1])
+        payload = _payload(
+            "simulate", site=survey.site, seed=spec.seed,
+            samples_per_distance=spec.samples_per_distance,
+            rows=[{"distance_m": d, "samples_dbm": s.tolist()}
+                  for d, s in zip(survey.distances.tolist(), samples)],
+        )
     lines = [
         f"simulated {survey.n_samples} samples at {len(survey.distances)} distances "
         f"(site {survey.site!r}, seed {spec.seed})"
@@ -381,6 +402,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_datasets(args):
+    from .datasets import dataset_names, embedded_dataset
+
     if args.action == "export":
         # No --format: the canonical stats CSV, or one text line after --out.
         record = embedded_dataset(args.name)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from statistics import NormalDist
 
 import numpy as np
 
@@ -125,6 +124,10 @@ def _invert(model: ShadowedPathLossModel, rss: float) -> float:
 @lru_cache(maxsize=16)
 def _z(level: float) -> float:
     """The two-sided normal quantile for a level in (0, 1)."""
+    # Imported here: statistics brings fractions and decimal, which
+    # a plan at z given in sigma units never needs.
+    from statistics import NormalDist
+
     p = (1.0 + level) / 2.0
     if p == 1.0:  # inv_cdf refuses it
         raise DataError(f"level {level!r} is too close to 1 for a normal quantile")

@@ -29,6 +29,12 @@ import numpy as np
 
 from .errors import DataError, NumericalError, nonnegative, positive, real, settle
 
+# The choices a calibration takes: how the trend finds rss(d0), and which
+# column the fading-SD quartic is fitted to. Spelled here, not in
+# calibration, so that the CLI's parser offers them without loading the fits.
+INTERCEPT_MODES = ("free", "anchored")
+SIGMA_TARGETS = ("sample_sd", "residual_y")
+
 
 @dataclass(frozen=True)
 class FreeSpaceModel:

@@ -1,6 +1,10 @@
-"""The package's public name list."""
+"""The package's public name list, and its names loaded on first access."""
 
+import importlib
+import json
 import types
+
+import pytest
 
 import rssifit
 
@@ -35,3 +39,46 @@ def test_star_import_binds_every_listed_name():
     for name in PUBLIC:
         assert namespace[name] is getattr(rssifit, name)
     assert not {"calibration", "cli", "models", "simulate"} & set(namespace)
+
+
+FIRST_ACCESS = """
+import json, sys
+import rssifit
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("rssifit"))
+before = loaded(), [name for name in rssifit.__all__ if name in vars(rssifit)]
+rssifit.max_range
+after = loaded(), "max_range" in vars(rssifit)
+print(json.dumps([before, after, rssifit.numerics.__name__, loaded()[-1]]))
+"""
+
+
+def test_import_loads_no_module_until_a_name_is_used(fresh_python):
+    done = fresh_python(["-c", FIRST_ACCESS])
+    assert done.returncode == 0, done.stderr
+    before, after, module, last = json.loads(done.stdout)
+    assert before == [["rssifit"], []]
+    assert after == [
+        ["rssifit", "rssifit.errors", "rssifit.localization", "rssifit.models"],
+        True,  # kept in the namespace
+    ]
+    # A module is an attribute too, as if imported by name.
+    assert module == last == "rssifit.numerics"
+
+
+@pytest.mark.parametrize("module", sorted(rssifit._EXPORTS))
+def test_each_name_is_its_defining_modules_object(module):
+    defining = importlib.import_module(f"rssifit.{module}")
+    for name in rssifit._EXPORTS[module]:
+        value = getattr(defining, name)
+        assert getattr(rssifit, name) is value, name
+        assert vars(rssifit)[name] is value, name  # kept after first access
+        assert getattr(value, "__module__", defining.__name__) == defining.__name__
+
+
+def test_dir_lists_every_public_name_and_unknown_names_are_refused():
+    assert set(rssifit.__all__) <= set(dir(rssifit))
+    assert not hasattr(rssifit, "nope")
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        rssifit.nope
+    with pytest.raises(ImportError):
+        exec("from rssifit import nope", {})

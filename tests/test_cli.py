@@ -371,6 +371,18 @@ def test_simulate_json_rows_hold_the_library_survey(capsys, tmp_path):
     assert tuple(rows) == direct.rows
 
 
+def test_simulate_builds_its_json_rows_only_for_json(tmp_path):
+    # The rows box every sample; text and csv never read them.
+    model = _model_file(tmp_path, ConstantSigma(2.0))
+    for fmt in cli.FORMATS:
+        args = cli.build_parser().parse_args([
+            "simulate", "--model", model, "--distances", "1:3", "--samples", "2",
+            "--format", fmt,
+        ])
+        payload, _, _ = args.func(args)
+        assert (payload is None) == (fmt != "json"), fmt
+
+
 def test_simulate_distance_specs(capsys, tmp_path):
     model_path = tmp_path / "m.json"
     model_path.write_bytes(
@@ -542,13 +554,69 @@ def test_memory_errors_cross_as_one_worded_error_line(capsys, monkeypatch, exc, 
     assert out == "" and err == line + "\n"
 
 
-def test_simulate_rejects_an_infinite_distance_range(capsys, tmp_path):
+# What each command may load besides the modules every command loads (the
+# parser's and the renderer's): python -m rssifit.cli pays for no other.
+EVERY_COMMAND = {
+    "rssifit", "rssifit.cli", "rssifit.dataio", "rssifit.errors",
+    "rssifit.models", "rssifit.surveys",
+}
+FITS = {"rssifit.calibration", "rssifit.datasets", "rssifit.numerics"}
+COMMAND_MODULES = {
+    "predict --model M --d 10": set(),
+    # statistics (with fractions and decimal) only for a level's
+    # quantile: plan takes z itself.
+    "localize --model M --rss -73": {"rssifit.localization", "statistics"},
+    "plan --model M --z 1.96": {"rssifit.localization"},
+    "simulate --model M --distances 1:3 --samples 2": {"rssifit.simulate"},
+    "datasets export longwall-face": {"rssifit.datasets"},
+    "datasets list": {"rssifit.datasets"},
+    "fit longwall-face": FITS,
+    "sigma-fit longwall-face": FITS,
+}
+
+LOADED_AFTER_MAIN = """
+import contextlib, io, json, sys
+from rssifit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(sys.argv[1:])
+loaded = [m for m in sys.modules if m.startswith("rssifit") or m == "statistics"]
+print(json.dumps([rc, sorted(loaded)]))
+"""
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_command_loads_only_the_modules_it_runs(fresh_python, tmp_path, command):
+    model = _model_file(tmp_path, ConstantSigma(2.0))
+    argv = [model if a == "M" else a for a in command.split()]
+    done = fresh_python(["-c", LOADED_AFTER_MAIN, *argv])
+    assert done.returncode == 0, done.stderr
+    expected = EVERY_COMMAND | COMMAND_MODULES[command]
+    assert json.loads(done.stdout) == [0, sorted(expected)]
+
+
+@pytest.mark.parametrize(
+    "distances, reason",
+    [
+        ("nan:5", "start must be finite, got nan"),
+        ("1:inf", "stop must be finite, got inf"),
+        ("1:5:nan", "step must be finite, got nan"),
+        # (1e300 - 1) / 1e-300 overflows: infinitely many points, refused in
+        # check_survey_size's words before anything is built.
+        ("1:1e300:1e-300", "5 samples at each of inf points are more than an "
+         "array holds"),
+    ],
+)
+def test_simulate_refuses_a_non_finite_range_by_name(
+    capsys, tmp_path, distances, reason
+):
     model = _model_file(tmp_path)
     rc, out, err = run(
-        capsys, "simulate", "--model", model, "--distances", "1:inf", "--samples", "2"
+        capsys, "simulate", "--model", model, "--distances", distances,
+        "--samples", "5",
     )
     assert rc == 1
-    _one_error_line(out, err, "error: bad --distances '1:inf': ")
+    assert out == ""
+    assert err == f"error: bad --distances '{distances}': {reason}\n"
 
 
 def test_simulate_too_large_for_memory_is_one_error_line(capsys, tmp_path):

@@ -1,19 +1,14 @@
 """Dense solver and least-squares fits, checked against independent oracles."""
 
-import os
 import platform
-import subprocess
-import sys
 import warnings
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-import rssifit
 from rssifit import (
     CONDITION_FALLBACK,
     DataError,
@@ -567,20 +562,12 @@ for name in ("longwall-face", "gateroad-conveyor"):
 """
 
 
-def _outputs(code, *changes):
+def _outputs(fresh_python, code, *changes):
     """The stdout of ``code`` in one fresh interpreter per dict of changes to
     the environment (None removes a variable), importing this rssifit."""
-    package_root = str(Path(rssifit.__file__).resolve().parents[1])
     outputs = []
     for change in changes:
-        env = {k: v for k, v in {**os.environ, **change}.items() if v is not None}
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        done = fresh_python(["-c", code], change)
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     return outputs
@@ -590,10 +577,11 @@ def _outputs(code, *changes):
     platform.machine().lower() not in ("x86_64", "amd64"),
     reason="OpenBLAS core types named here are x86-64 kernels",
 )
-def test_fits_do_not_depend_on_the_blas_kernel():
+def test_fits_do_not_depend_on_the_blas_kernel(fresh_python):
     # OpenBLAS picks its kernels by OPENBLAS_CORETYPE: Haswell's use FMA,
     # Prescott's do not. A BLAS call anywhere in a fit shows up in its digits.
     outputs = _outputs(
+        fresh_python,
         FIT_REPRS, {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Prescott"}
     )
     assert outputs[0].count("\n") == 8
@@ -616,12 +604,13 @@ print(repr(stationarity_sums(stats, fit_sigma_polynomial(stats).sigma)))
 NO_AVX512 = "AVX512_SPR,AVX512_ICL,AVX512_CNL,AVX512_CLX,AVX512_SKX,X86_V4"
 
 
-def test_stationarity_sums_do_not_depend_on_the_simd_dispatch():
+def test_stationarity_sums_do_not_depend_on_the_simd_dispatch(fresh_python):
     # np.power's AVX-512 kernels round d^3 and d^4 differently from the
     # baseline's. Powers taken as repeated products do not: the sums come out
     # the same with those targets switched off. Elsewhere both runs agree
     # trivially.
     outputs = _outputs(
+        fresh_python,
         STATIONARITY_REPR,
         {"NPY_DISABLE_CPU_FEATURES": NO_AVX512},
         {"NPY_DISABLE_CPU_FEATURES": None},
@@ -660,12 +649,13 @@ print(hashlib.sha256(repr(plans).encode()).hexdigest())
 """
 
 
-def test_trend_fits_and_plans_do_not_depend_on_the_simd_dispatch():
+def test_trend_fits_and_plans_do_not_depend_on_the_simd_dispatch(fresh_python):
     # numpy's AVX-512 log10 differs from the baseline's in the last place for
     # ~3% of doubles. The trend's regressor, its fitted values and max_range's
     # scan take libm's log10, so 600 trend fits on random surveys, their
     # residual_y sigma fits and 400 plans come out the same bits either way.
     outputs = _outputs(
+        fresh_python,
         TREND_DIGESTS,
         {"NPY_DISABLE_CPU_FEATURES": NO_AVX512},
         {"NPY_DISABLE_CPU_FEATURES": None},
