@@ -25,7 +25,7 @@ for name in ("longwall-face", "gateroad-conveyor"):
     pub = published_fit(name)
 
     print("=" * 64)
-    print(f"{name}  ({len(stats.rows)} survey positions)")
+    print(f"{name}  ({stats.distance_m.size} survey positions)")
     print("=" * 64)
     print(record.provenance)
     print()

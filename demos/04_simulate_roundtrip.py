@@ -38,7 +38,7 @@ spec = SimulationSpec(
     site="synthetic-tunnel",
 )
 survey = simulate_survey(spec)
-print(f"simulated {survey.n_samples} readings over {len(survey.rows)} positions "
+print(f"simulated {survey.n_samples} readings over {survey.distances.size} positions "
       f"(seed {spec.seed})")
 again = simulate_survey(spec)
 print(f"re-running with the same seed reproduces every sample: {survey == again}")
@@ -60,8 +60,8 @@ print("refit from reloaded samples:")
 print(f"  eta      = {report.eta:.4f}   (truth {truth.eta})")
 print(f"  rss(1 m) = {report.rss_d0:.2f} dBm (truth {truth.rss_d0})")
 print(f"  r^2      = {report.fit.r2:.4f}")
-sds = [row.sd for row in stats.rows]
-print(f"  per-position sample SD spans [{min(sds):.2f}, {max(sds):.2f}] dB "
+sds = stats.sd_db
+print(f"  per-position sample SD spans [{sds.min():.2f}, {sds.max():.2f}] dB "
       f"(truth {truth.sigma.value})")
 print()
 

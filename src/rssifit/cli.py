@@ -166,9 +166,10 @@ _FIT_COLUMNS = ("distance_m", "observed_dbm", "fitted_dbm", "residual_db", "y_db
 
 def _cmd_fit(args):
     stats, source, published, report = _calibrate(args)
+    columns = stats.distance_m.tolist(), stats.mean_dbm.tolist()
     rows = [
-        dict(zip(_FIT_COLUMNS, (r.distance, r.mean_rss, r.mean_rss - e, e, y)))
-        for r, e, y in zip(stats.rows, report.residuals, report.y_values)
+        dict(zip(_FIT_COLUMNS, (d, m, m - e, e, y)))
+        for d, m, e, y in zip(*columns, report.residuals, report.y_values)
     ]
     pub = None if published is None else {"eta": published.eta, "note": published.note}
     gof, model = report.fit, report.model

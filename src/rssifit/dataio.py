@@ -394,14 +394,12 @@ def load_survey_csv(data: bytes) -> RssiSurvey:
     return _survey_rows(text) if survey is None else survey
 
 
-def save_stats_csv(stats: SurveyStats | Sequence[DistanceStats]) -> bytes:
+def save_stats_csv(stats: SurveyStats) -> bytes:
     """Serialize per-distance statistics, one distance per row."""
-    rows = stats.rows if isinstance(stats, SurveyStats) else stats
-    return csv_text(STATS_HEADER, (
-        (_fmt(r.distance), _fmt(r.mean_rss), _fmt(r.sd),
-         "" if r.prr is None else _fmt(r.prr), str(r.n))
-        for r in rows
-    )).encode("utf-8")
+    *floats, prr, n = (getattr(stats, name).tolist() for name in STATS_HEADER)
+    prr = ("" if p != p else _fmt(p) for p in prr)  # nan: no prr, an empty field
+    rows = zip(*(map(_fmt, c) for c in floats), prr, map(str, n))
+    return csv_text(STATS_HEADER, rows).encode("utf-8")
 
 
 def load_stats_csv(data: bytes, site: str = "stats") -> SurveyStats:

@@ -24,7 +24,8 @@ already generated, so incremental experiments stay reproducible.
 
 tests/test_simulation.py checks the generator within one numpy build. Across
 CPU dispatch the first paragraph's claim is not yet tested, nor true: step 4
-takes numpy's SIMD ``log`` and ``cos`` (ROADMAP.md, item 2).
+takes numpy's SIMD ``log`` and ``cos`` (ROADMAP.md, "Make the simulator's
+determinism contract true, and test it").
 """
 
 from __future__ import annotations

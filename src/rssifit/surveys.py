@@ -18,17 +18,20 @@ import numpy as np
 from .errors import DataError, InsufficientDataError, _refused
 from .errors import integer, nonnegative, percent, positive, real, settle, text
 
-_key = attrgetter("site", "rows", "metadata")
+_key = attrgetter("site", "metadata")
 
 
 class _Columns:
-    """A frozen dataclass of read-only columns, equal by (site, rows, metadata)."""
+    """A frozen dataclass of the read-only columns named in ``_COLUMNS``."""
 
     def __eq__(self, other: object) -> bool:
-        return other.__class__ is self.__class__ and _key(self) == _key(other)
+        same = other.__class__ is self.__class__ and _key(self) == _key(other)
+        return same and all(np.array_equal(  # a nan prr: none, as None == None
+            getattr(self, k), getattr(other, k), equal_nan=k == "prr_pct"
+        ) for k in self._COLUMNS)
 
-    def __hash__(self) -> int:
-        return hash(_key(self))
+    def __hash__(self) -> int:  # distances come first, finite and > 0: equal bytes
+        return hash((*_key(self), getattr(self, self._COLUMNS[0]).tobytes()))
 
     @classmethod
     def _from_columns(cls, site: str, *columns: np.ndarray, metadata=()):
@@ -39,8 +42,8 @@ class _Columns:
         obj._store(*columns)
         return obj
 
-    def _freeze(self, **columns: np.ndarray) -> None:
-        for name, column in columns.items():
+    def _freeze(self, *columns: np.ndarray) -> None:
+        for name, column in zip(self._COLUMNS, columns):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
 
@@ -53,10 +56,11 @@ class RssiSurvey(_Columns):
     numbers but text, bools and complex values as samples. Stored as read-only
     arrays: ``distances`` and ``counts`` per row, ``samples`` row after row.
     Rows keep their order; distances may repeat. ``survey.rows`` builds tuples
-    of Python floats on access; ``==`` and ``hash`` follow (site, rows,
-    metadata). ``metadata`` is free-form provenance.
+    of Python floats on access; ``==`` and ``hash`` follow site, metadata
+    and the columns. ``metadata`` is free-form provenance.
     """
 
+    _COLUMNS = ("distances", "counts", "samples")
     site: str
     rows: InitVar[Iterable[tuple[float, Sequence[float]]]] = ()
     metadata: tuple[tuple[str, str], ...] = ()
@@ -95,7 +99,7 @@ class RssiSurvey(_Columns):
             raise fault
         if not counts.size:
             raise DataError("survey must contain at least one row")
-        self._freeze(distances=distances, counts=counts, samples=samples)
+        self._freeze(distances, counts, samples)
 
     @property
     def n_samples(self) -> int:
@@ -170,6 +174,7 @@ class SurveyStats(_Columns):
     ``means`` and ``sds`` are tuples of Python floats.
     """
 
+    _COLUMNS = ("distance_m", "mean_dbm", "sd_db", "n", "prr_pct")
     site: str
     rows: InitVar[Iterable[DistanceStats]] = ()
     metadata: tuple[tuple[str, str], ...] = ()
@@ -201,7 +206,7 @@ class SurveyStats(_Columns):
     def _store(self, d, mean, sd, n, prr) -> None:
         """Refuse the first row that breaks a rule of :class:`DistanceStats`,
         as it words it, then a distance not above the one before."""
-        self._freeze(distance_m=d, mean_dbm=mean, sd_db=sd, n=n, prr_pct=prr)
+        self._freeze(d, mean, sd, n, prr)
         ok = positive.holds(d) & real.holds(mean) & nonnegative.holds(sd) & (n > 0)
         if not np.all(ok & (percent.holds(prr) | np.isnan(prr))):  # nan: no prr
             _stats_rows(self)  # DistanceStats refuses the first bad row
@@ -210,8 +215,8 @@ class SurveyStats(_Columns):
             raise DataError(f"duplicate distance {d[step[0] + 1]} m in summary rows")
 
     def __repr__(self) -> str:
-        site, rows, metadata = _key(self)
-        return f"SurveyStats({site=!r}, {rows=!r}, {metadata=!r})"
+        site, metadata = _key(self)
+        return f"SurveyStats({site=!r}, rows={self.rows!r}, {metadata=!r})"
 
     distances = property(lambda self: tuple(self.distance_m.tolist()))
     means = property(lambda self: tuple(self.mean_dbm.tolist()))

@@ -216,6 +216,49 @@ def test_stats_export_is_byte_stable(longwall):
     assert save_stats_csv(longwall) == save_stats_csv(longwall)
 
 
+def _row_writer(stats):
+    """A stats writer over ``stats.rows``, kept as the reference for the
+    column writer's bytes."""
+    return dataio.csv_text(dataio.STATS_HEADER, (
+        (dataio._fmt(r.distance), dataio._fmt(r.mean_rss), dataio._fmt(r.sd),
+         "" if r.prr is None else dataio._fmt(r.prr), str(r.n))
+        for r in stats.rows
+    )).encode("utf-8")
+
+
+def _either(special, low, high):
+    """Signed zeros and integral values, or any float in [low, high]."""
+    return st.one_of(st.sampled_from(special), st.floats(low, high))
+
+
+@st.composite
+def export_tables(draw):
+    distances = draw(st.lists(
+        _either((1.0, 2.0, 20.0, 0.1 + 0.2), 1e-3, 1e4), min_size=1, max_size=6,
+        unique=True,
+    ))
+    return SurveyStats(site="s", rows=tuple(
+        DistanceStats(
+            distance=d,
+            mean_rss=draw(_either((0.0, -0.0, -50.0, -51.65), -200.0, 100.0)),
+            sd=draw(_either((0.0, -0.0, 3.0, 0.48936), 0.0, 50.0)),
+            n=draw(st.sampled_from((1, 2**63 - 1)) | st.integers(1, 2**63 - 1)),
+            prr=draw(st.none() | _either((0.0, -0.0, 100.0, 99.5), 0.0, 100.0)),
+        )
+        for d in distances
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(export_tables())
+@example(SurveyStats(site="s", rows=(
+    DistanceStats(0.30000000000000004, -0.0, -0.0, 2**63 - 1, -0.0),
+    DistanceStats(2.0, -51.65, 1e-17, 1, None),
+)))
+def test_stats_export_matches_the_row_writer(stats):
+    assert save_stats_csv(stats) == _row_writer(stats)
+
+
 def test_stats_empty_prr_field_loads_as_absent():
     data = b"distance_m,mean_dbm,sd_db,prr_pct,n\n1,-50,1.5,,20\n2,-60,2,95.5,20\n"
     stats = load_stats_csv(data)

@@ -33,6 +33,7 @@ from rssifit import (
     stationarity_sums,
     survey_stats,
 )
+from rssifit.cli import main
 
 
 def test_stats_use_sample_standard_deviation():
@@ -279,13 +280,116 @@ def test_survey_matches_the_tuple_backed_class(site, rows):
         return
     assert repr(new.rows) == repr(old.rows)
     assert new.n_samples == old.n_samples
-    assert hash(new) == hash(old)
     assert new == RssiSurvey(site=site, rows=old.rows)
     assert hash(new) == hash(RssiSurvey(site=site, rows=old.rows))
     changed = dataclasses.replace(new, rows=new.rows[:-1] + ((2.0, (-1.0,)),))
     assert (changed == new) == (changed.rows == old.rows)
     assert dataclasses.replace(new, site="other") != new
     assert dataclasses.replace(new, site="other").rows == new.rows
+
+
+def _row_key(obj):
+    """Equality by the row tuples: class, site, rows and metadata, kept as the
+    reference for the column comparison."""
+    return obj.__class__, obj.site, obj.rows, obj.metadata
+
+
+_NAN_PAYLOAD = np.array([0x7FF8000000000001], np.uint64).view(np.float64)[0]
+_metadata = st.sampled_from(((), (("seed", "3"),)))
+
+
+@st.composite
+def survey_pairs(draw):
+    """Two surveys over distances 1 and 2 and samples 0.0, -0.0 and -50.0: the
+    second has the first's rows with each zero's sign flipped, or its
+    distances and samples with the samples cut into rows elsewhere, or is
+    drawn afresh."""
+    def rows():
+        return draw(st.lists(st.tuples(
+            st.sampled_from((1.0, 2.0)),
+            st.lists(st.sampled_from((0.0, -0.0, -50.0)), min_size=1, max_size=3),
+        ), min_size=1, max_size=3))
+
+    first = rows()
+    how = draw(st.sampled_from(("flip", "cut", "fresh")))
+    if how == "fresh":
+        second = rows()
+    elif how == "flip":
+        second = [(d, [-x if x == 0 else x for x in s]) for d, s in first]
+    else:
+        flat = [x for _, s in first for x in s]
+        cuts = sorted(draw(st.lists(
+            st.integers(1, max(1, len(flat) - 1)), min_size=len(first) - 1,
+            max_size=len(first) - 1, unique=True,
+        )))
+        ends = zip([0, *cuts], [*cuts, len(flat)])
+        second = [(d, flat[i:j]) for (d, _), (i, j) in zip(first, ends)]
+    return tuple(
+        RssiSurvey("lab", tuple((d, tuple(s)) for d, s in r), draw(_metadata))
+        for r in (first, second)
+    )
+
+
+def _flipped(x):
+    """``x`` with the other zero's sign, or the other nan payload."""
+    if x != x:
+        return np.nan if x is _NAN_PAYLOAD else _NAN_PAYLOAD
+    return -x if x == 0 else x
+
+
+@st.composite
+def stats_pairs(draw):
+    """Two stats tables over distances 1-3, with means, SDs and prr from a few
+    values (±0.0, and a nan prr with either payload), built from columns or
+    from rows: the second has the first's values with each zero's sign and
+    nan payload flipped, or is drawn afresh."""
+    def columns():
+        d = draw(st.lists(
+            st.sampled_from((1.0, 2.0, 3.0)), min_size=1, max_size=3, unique=True
+        ))
+        return [sorted(d)] + [
+            draw(st.lists(st.sampled_from(values), min_size=len(d), max_size=len(d)))
+            for values in ((0.0, -0.0, -50.0), (0.0, -0.0, 1.5), (1, 2),
+                           (np.nan, _NAN_PAYLOAD, 0.0, -0.0, 50.0))
+        ]
+
+    def built(columns):
+        d, mean, sd, n, prr = columns
+        columns = *map(np.array, (d, mean, sd)), np.array(n, np.int64), np.array(prr)
+        stats = SurveyStats._from_columns("lab", *columns, metadata=draw(_metadata))
+        if draw(st.booleans()):
+            return stats
+        return SurveyStats("lab", stats.rows, stats.metadata)
+
+    first = columns()
+    if draw(st.booleans()):
+        second = columns()
+    else:
+        second = first[:1] + [list(map(_flipped, c)) for c in first[1:]]
+    return built(first), built(second)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.one_of(survey_pairs(), stats_pairs()))
+@example(pair=(
+    RssiSurvey("lab", ((1.0, (-0.0, -50.0)),)),
+    RssiSurvey("lab", ((1.0, (0.0,)), (1.0, (-50.0,)))),
+))
+@example(pair=(
+    RssiSurvey("lab", ((1.0, (-0.0, -50.0)), (1.0, (0.0,)))),
+    RssiSurvey("lab", ((1.0, (-0.0,)), (1.0, (-50.0, 0.0)))),
+))
+@example(pair=(
+    RssiSurvey("lab", ((1.0, (0.0,)),)),
+    RssiSurvey("lab", ((1.0, (-0.0,)),), (("seed", "3"),)),
+))
+def test_equality_follows_the_row_key_and_equal_objects_hash_alike(pair):
+    a, b = pair
+    assert (a == b) == (b == a) == (_row_key(a) == _row_key(b))
+    assert (a != b) == (not a == b)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert a == a and hash(a) == hash(a)
 
 
 @pytest.mark.parametrize(
@@ -340,7 +444,7 @@ def test_hot_paths_never_build_the_rows_view(monkeypatch):
     assert survey_stats(load_survey_csv(data)) == expected
 
 
-def test_stats_and_fits_never_build_distance_stats(monkeypatch):
+def test_stats_and_fits_never_build_distance_stats(monkeypatch, capsys):
     embedded = embedded_dataset("longwall-face").stats
     spec = SimulationSpec(
         model=ShadowedPathLossModel(
@@ -351,11 +455,21 @@ def test_stats_and_fits_never_build_distance_stats(monkeypatch):
         seed=3,
     )
     survey = simulate_survey(spec)
+    twins = (
+        (survey, RssiSurvey(survey.site, survey.rows, survey.metadata)),
+        (embedded, SurveyStats(embedded.site, embedded.rows, embedded.metadata)),
+    )
+    exports = {save_stats_csv: embedded, save_survey_csv: survey}
+    saved = {save: save(data) for save, data in exports.items()}
+    fit = ["fit", "longwall-face", "--format", "json"]
+    assert main(fit) == 0
+    fitted = capsys.readouterr().out
 
     def boxed(self):
-        raise AssertionError("a hot path built the DistanceStats rows")
+        raise AssertionError("a hot path built the rows view")
 
     monkeypatch.setattr(SurveyStats, "rows", property(boxed))
+    monkeypatch.setattr(RssiSurvey, "rows", property(boxed))
     for stats in (survey_stats(survey), embedded):
         for mode in ("free", "anchored"):
             fit_path_loss(stats, d0=2.0, intercept_mode=mode)
@@ -363,6 +477,12 @@ def test_stats_and_fits_never_build_distance_stats(monkeypatch):
             sigma = fit_sigma_polynomial(stats, target=target).sigma
             stationarity_sums(stats, sigma, target=target)
     prr_correlations(embedded)
+    for data, twin in twins:
+        assert data == twin and hash(data) == hash(twin)
+    assert survey != embedded and survey_stats(survey) != embedded
+    assert {save: save(data) for save, data in exports.items()} == saved
+    assert main(fit) == 0
+    assert capsys.readouterr().out == fitted
 
 
 @pytest.mark.parametrize(
