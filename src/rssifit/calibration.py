@@ -30,6 +30,7 @@ from .models import INTERCEPT_MODES, SIGMA_TARGETS, ShadowedPathLossModel
 from .models import SigmaPolynomial, _log_distance, predict_mean_rss
 from .numerics import (
     SolveDiagnostics,
+    _cached,
     _moment_system,
     _pair,
     _power_sums,
@@ -150,7 +151,7 @@ def fit_path_loss(
         raise InsufficientDataError(
             f"need at least 3 distinct distances to fit a trend, got {d.size}"
         )
-    x = _regressor(d.tobytes(), d0)  # slope -eta, intercept rss_d0
+    x = _cached(_regressor, d)(d.tobytes(), d0)  # slope -eta, intercept rss_d0
     free = intercept_mode == "free"
     # Anchored, rss_d0 is the mean of the row nearest d0 (of two as near,
     # argmin takes the smaller distance) and only the slope is solved for.

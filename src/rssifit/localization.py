@@ -6,10 +6,10 @@ is the fading spread evaluated once at the point estimate (a single
 fixed-point step; sigma varies slowly and is clamped, so iterating to
 self-consistency buys nothing and would blur the definition).
 
-:func:`confidence_interval` checks its inputs once, at the top. Each later
-value is correct by construction (the inversion proves a distance finite and
-> 0; the sigma evaluation returns a float and a bool), so a private
-constructor re-checks only d_lo <= d_hat <= d_hi: ``pow`` need not be monotone.
+:func:`confidence_interval` checks its inputs once, at the top, then runs in
+one frame: the three inversions inline, the estimate filled in place. Each
+value is then correct by construction, so only an interval out of order
+(``pow`` need not be monotone) goes to the public constructor, to be refused.
 
 Range planning asks the opposite question: out to what distance does the
 predicted signal, less an outage margin of z sigma, stay above the receiver
@@ -17,11 +17,11 @@ sensitivity? That is solved numerically rather than by algebra so clamped or
 non-monotone sigma shapes are handled uniformly: one vectorised pass over a
 logarithmic grid brackets the last sign change, then bisection on the scalar
 objective tightens it. The grid and its x = 10*log10(d/d0) are built by
-libm, once per d0, and kept read-only; the pass evaluates the scalar
-objective at each grid point. The closed-form inversion (valid when z = 0)
-serves as an independent check elsewhere. Planned ranges beyond the
-surveyed span rest on a clamped sigma and deserve skepticism, so the result records
-whether clamping occurred.
+libm, once per d0, and kept read-only; sigma enters the pass as an array up
+to d_max, where it varies, and as one scalar beyond. The closed-form
+inversion (valid when z = 0) serves as an independent check elsewhere.
+Planned ranges beyond the surveyed span rest on a clamped sigma and deserve
+skepticism, so the result records whether clamping occurred.
 """
 
 from __future__ import annotations
@@ -68,18 +68,6 @@ class LocalizationEstimate:
                 f"({self.d_lo!r}, {self.d_hat!r}, {self.d_hi!r})"
             )
 
-    @classmethod
-    def _from_fields(cls, d_hat, d_lo, d_hi, level, sigma_used, clamped):
-        """An estimate from canonical fields: only their order is checked."""
-        if not d_lo <= d_hat <= d_hi:  # the public constructor words the refusal
-            return cls(d_hat, d_lo, d_hi, level, sigma_used, clamped)
-        est = object.__new__(cls)
-        object.__setattr__(est, "__dict__", {
-            "d_hat": d_hat, "d_lo": d_lo, "d_hi": d_hi, "level": level,
-            "sigma_used": sigma_used, "clamped": clamped,
-        })
-        return est
-
 
 @dataclass(frozen=True)
 class LinkPlan:
@@ -114,11 +102,15 @@ def _invert(model: ShadowedPathLossModel, rss: float) -> float:
     except OverflowError:
         d = math.inf
     if not 0.0 < d < math.inf:
-        raise DataError(
-            f"rss {rss!r} dBm is outside the range the model can invert: "
-            "the distance is not a finite positive number"
-        )
+        raise _uninvertible(rss)
     return d
+
+
+def _uninvertible(rss: float) -> DataError:
+    return DataError(
+        f"rss {rss!r} dBm is outside the range the model can invert: "
+        "the distance is not a finite positive number"
+    )
 
 
 @lru_cache(maxsize=16)
@@ -173,21 +165,35 @@ def confidence_interval(
     z = _z(level)
     positive("eta", model.eta)
     rss = real("rss", rss)
-    d_hat = _invert(model, rss)
+    # Each inversion is _invert's expression; a pow that overflows leaves
+    # its distance inf, which the check after it refuses.
+    d0, rss_d0, scale = model.d0, model.rss_d0, 10.0 * model.eta
+    d_hat = d_lo = d_hi = math.inf
+    try:
+        d_hat = d0 * 10.0 ** ((rss_d0 - rss) / scale)
+    except OverflowError:
+        pass
+    if not 0.0 < d_hat < math.inf:
+        raise _uninvertible(rss)
     if model.sigma is None:
         raise _no_sigma()
     sigma, clamped = _sigma(model.sigma, d_hat)
-    shifted = rss + z * sigma
+    up, down = rss + z * sigma, rss - z * sigma
     try:
-        d_lo = _invert(model, shifted)
-    except DataError:
-        raise _uninvertible_endpoint("lower", "+", rss, level, shifted) from None
-    shifted = rss - z * sigma
-    try:
-        d_hi = _invert(model, shifted)
-    except DataError:
-        raise _uninvertible_endpoint("upper", "-", rss, level, shifted) from None
-    return LocalizationEstimate._from_fields(d_hat, d_lo, d_hi, level, sigma, clamped)
+        d_lo = d0 * 10.0 ** ((rss_d0 - up) / scale)
+        d_hi = d0 * 10.0 ** ((rss_d0 - down) / scale)
+    except OverflowError:
+        pass
+    if not 0.0 < d_lo < math.inf:
+        raise _uninvertible_endpoint("lower", "+", rss, level, up)
+    if not 0.0 < d_hi < math.inf:
+        raise _uninvertible_endpoint("upper", "-", rss, level, down)
+    if not d_lo <= d_hat <= d_hi:  # pow need not be monotone; the constructor refuses
+        return LocalizationEstimate(d_hat, d_lo, d_hi, level, sigma, clamped)
+    est = object.__new__(LocalizationEstimate)  # fields canonical and ordered
+    est.__dict__.update(d_hat=d_hat, d_lo=d_lo, d_hi=d_hi, level=level,
+                        sigma_used=sigma, clamped=clamped)
+    return est
 
 
 def max_range(
@@ -203,7 +209,7 @@ def max_range(
     (sigma need not be monotone, so the first bracket from the left would be
     wrong); bisection on it then tightens that to +/- 0.01 m. When z > 0 a
     sigma that is negative or not finite at a scanned point is refused by
-    :func:`sigma_curve`, which names the first such point.
+    :func:`sigma_curve` or ``_sigma``, which name the first such point.
     """
     positive("eta", model.eta)  # the rule and message estimate_distance uses
     outage_z = nonnegative("outage_z", outage_z)
@@ -228,8 +234,12 @@ def max_range(
     # Python float arithmetic overflows to inf silently; so does this scan.
     with np.errstate(over="ignore", invalid="ignore"):
         signal = model.rss_d0 - model.eta * x  # _mean at each grid point
-        if outage_z != 0.0:
-            signal -= outage_z * sigma_curve(model.sigma, grid)
+        if outage_z != 0.0:  # sigma is constant past d_max (a ConstantSigma's: -inf)
+            s = model.sigma
+            k = grid.searchsorted(getattr(s, "d_max", -math.inf), "right")
+            signal[:k] -= outage_z * sigma_curve(s, grid[:k])
+            if k < grid.size:  # one scalar _sigma, refused by grid[k] as a scan is
+                signal[k:] -= outage_z * _sigma(s, float(grid[k]))[0]
         ok = np.flatnonzero(signal - sens >= 0.0)
     if not ok.size:
         raise DataError(

@@ -31,8 +31,10 @@ surveys whose span pushes the moments there. A moment matrix, its condition
 estimate (which the QR fallback and the refit both read) and its factors are
 computed once per distance set, in a cache of the 16 sets last used, each
 keyed by the bytes of its distances; a fit sums and solves only its
-right-hand side. A span float64 cannot carry (raw moments that overflow, or
-d_max^k that underflows when the refit is undone) is refused by name.
+right-hand side. Sets above CACHE_MAX_DISTANCES skip the cache, so that no
+large key is kept, and get the same bits afresh on every fit. A span float64
+cannot carry (raw moments that overflow, or d_max^k that underflows when the
+refit is undone) is refused by name.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ from .errors import (
 
 # Condition estimate above which solve_dense abandons elimination for QR.
 CONDITION_FALLBACK = 1e12
+
+# The most distances a set may have for the caches to key on its bytes.
+CACHE_MAX_DISTANCES = 4096
 
 
 class _Factored:
@@ -277,6 +282,12 @@ def _power_sums(d: np.ndarray, top: int, y: np.ndarray | None = None) -> list[fl
 _QUARTIC = (4, 3, 2, 1, 0)  # the quartic's powers of d, highest first
 
 
+def _cached(fn, d: np.ndarray):
+    """``fn``'s lru_cache for a set of at most CACHE_MAX_DISTANCES distances,
+    else the undecorated ``fn``: the same bits, and no large key kept."""
+    return fn if d.size <= CACHE_MAX_DISTANCES else fn.__wrapped__
+
+
 @lru_cache(maxsize=16)
 def _moment_matrix(d_bytes: bytes, powers: tuple[int, ...]) -> _Factored | None:
     """_moment_system's matrix half, or None if a line's moments overflow."""
@@ -299,7 +310,7 @@ def _moment_system(
     Matrix entry (i, j) is sum(d^(p_i + p_j)), rhs entry i sum(y * d^p_i). A
     sum that overflows is refused naming ``names``, or above a line the span.
     """
-    half = _moment_matrix(d.tobytes(), powers)
+    half = _cached(_moment_matrix, d)(d.tobytes(), powers)
     weighted = _power_sums(d, powers[0], y)
     rhs = [weighted[p] for p in powers]
     if half is None or not all(map(math.isfinite, rhs)):

@@ -208,8 +208,10 @@ class SurveyStats(_Columns):
         as it words it, then a distance not above the one before."""
         self._freeze(d, mean, sd, n, prr)
         ok = positive.holds(d) & real.holds(mean) & nonnegative.holds(sd) & (n > 0)
-        if not np.all(ok & (percent.holds(prr) | np.isnan(prr))):  # nan: no prr
-            _stats_rows(self)  # DistanceStats refuses the first bad row
+        ok &= percent.holds(prr) | np.isnan(prr)  # nan: no prr
+        if not ok.all():  # DistanceStats refuses the first bad row
+            i = int(ok.argmin())
+            _stats_rows(self, slice(i, i + 1))
         step = np.flatnonzero(d[1:] <= d[:-1])  # rows come sorted: a repeat
         if step.size:
             raise DataError(f"duplicate distance {d[step[0] + 1]} m in summary rows")
@@ -223,11 +225,10 @@ class SurveyStats(_Columns):
     sds = property(lambda self: tuple(self.sd_db.tolist()))
 
 
-def _stats_rows(stats: SurveyStats) -> tuple[DistanceStats, ...]:
-    """The rows, built on access."""
-    columns = (c.tolist() for c in (stats.distance_m, stats.mean_dbm, stats.sd_db))
-    prr = [None if p != p else p for p in stats.prr_pct.tolist()]
-    return tuple(map(DistanceStats, *columns, stats.n.tolist(), prr))
+def _stats_rows(stats: SurveyStats, rows=slice(None)) -> tuple[DistanceStats, ...]:
+    """The rows, built on access; those in the slice ``rows`` if it is given."""
+    *columns, prr = (getattr(stats, k)[rows].tolist() for k in stats._COLUMNS)
+    return tuple(map(DistanceStats, *columns, [None if p != p else p for p in prr]))
 
 
 SurveyStats.rows = property(_stats_rows, doc=_stats_rows.__doc__)

@@ -67,6 +67,7 @@ _PER_FORMAT = (
     "localize --model {tmp}/wide.json --rss -73",
     "plan --model {tmp}/sigma.json --sensitivity -92",
     "plan --model {tmp}/sigma.json --sensitivity -92 --z 1.96",
+    "plan --model {tmp}/sigma.json --sensitivity -95 --z 1.28",
     "plan --model {tmp}/trend.json",
     "plan --model {tmp}/resid.json --z 1",
     "simulate --model {tmp}/sigma.json --distances 1:5 --samples 2 --seed 3",

@@ -23,14 +23,16 @@ from rssifit import (
     predict_mean_rss,
     sigma_at,
 )
+from rssifit.errors import positive, probability, real
 from rssifit.localization import (
     RANGE_SEARCH_MAX,
     RANGE_TOLERANCE,
     LinkPlan,
     LocalizationEstimate,
     _scan_grid,
+    _z,
 )
-from rssifit.models import sigma_curve
+from rssifit.models import _sigma, sigma_curve
 
 
 def model(eta=2.0, rss_d0=-40.0, d0=1.0, sigma=None):
@@ -331,6 +333,23 @@ def test_max_range_matches_per_point_loop(eta, rss_d0, d0, sigma, gap, z):
     assert got == want and repr(got) == repr(want)
 
 
+def test_a_sigma_bad_only_at_d_max_is_refused_by_the_first_point_beyond():
+    # sigma(d) = r - d is >= 0 at every scan point up to d_max = 20 m and
+    # negative at d_max itself: the scan first meets it where sigma is held
+    # at sigma(d_max), at the first point beyond d_max.
+    grid = libm_grid(1.0)
+    k = next(i for i, d in enumerate(grid) if d > 20.0)
+    r = 0.5 * (grid[k - 1] + 20.0)
+    sigma = SigmaPolynomial(a=0, b=0, c=0, e=-1.0, f=r, d_min=1.0, d_max=20.0)
+    m = model(sigma=sigma)
+    constants = LinkConstants(receiver_sensitivity=-100.0)
+    got = outcome(max_range, m, constants, 1.0)
+    want = outcome(loop_max_range, m, constants, 1.0)
+    assert type(got) is type(want) is NumericalError and str(got) == str(want)
+    assert str(got).startswith("fitted sigma is negative")
+    assert f"at d = {grid[k]:.4g} m;" in str(got)
+
+
 def test_uninvertible_endpoint_error_names_the_reading():
     # rss - z*sigma = -6000 - 4.89*300 = -7467 dBm overflows 10**x
     m = model(sigma=ConstantSigma(300.0))
@@ -344,6 +363,25 @@ def test_uninvertible_endpoint_error_names_the_reading():
     # rss + z*sigma = 7467 dBm underflows the distance to 0
     with pytest.raises(DataError, match="lower endpoint .* rss 6000.0 dBm"):
         confidence_interval(m, 6000.0, level=0.999999)
+
+
+def test_interval_refusals_come_in_a_fixed_order():
+    # The level first, then the reading, then a missing or negative sigma,
+    # then the lower endpoint before the upper one.
+    negative = SigmaPolynomial(a=0, b=0, c=0, e=0, f=-1.0, d_min=1.0, d_max=20.0)
+    with pytest.raises(DataError, match="^level must be in"):
+        confidence_interval(model(), 1e6, level=1.5)
+    for sigma in (None, negative):
+        with pytest.raises(DataError, match="^rss 1000000.0 dBm is outside"):
+            confidence_interval(model(sigma=sigma), 1e6)
+    with pytest.raises(DataError, match="^model has no fading model"):
+        confidence_interval(model(), -60.0)
+    with pytest.raises(NumericalError, match="^fitted sigma is negative"):
+        confidence_interval(model(sigma=negative), -60.0)
+    # z*sigma = 1.96 * 1e308 overflows to inf: rss + inf inverts to 0 m and
+    # rss - inf to inf m. Both endpoints fail; the lower one is named.
+    with pytest.raises(DataError, match="^the lower endpoint .* = inf dBm"):
+        confidence_interval(model(sigma=ConstantSigma(1e308)), -60.0)
 
 
 def test_a_level_whose_quantile_rounds_to_one_is_a_data_error():
@@ -366,6 +404,48 @@ def public_interval(m, rss, level):
     sigma, clamped = sigma_at(m.sigma, d_hat)
     d_lo = estimate_distance(m, rss + z * sigma)
     d_hi = estimate_distance(m, rss - z * sigma)
+    return LocalizationEstimate(d_hat, d_lo, d_hi, level, sigma, clamped)
+
+
+def reference_interval(m, rss, level):
+    """confidence_interval as three inversions, each refused in its own words.
+
+    A copy of the library's body before it inlined them: it pins the type,
+    the message and the order of every refusal.
+    """
+
+    def invert(r):
+        try:
+            d = m.d0 * 10.0 ** ((m.rss_d0 - r) / (10.0 * m.eta))
+        except OverflowError:
+            d = math.inf
+        if not 0.0 < d < math.inf:
+            raise DataError(
+                f"rss {r!r} dBm is outside the range the model can invert: "
+                "the distance is not a finite positive number"
+            )
+        return d
+
+    def endpoint(name, sign, shifted):
+        try:
+            return invert(shifted)
+        except DataError:
+            raise DataError(
+                f"the {name} endpoint of the {level!r} interval for rss {rss!r} dBm "
+                f"cannot be inverted: rss {sign} z*sigma = {shifted:.6g} dBm is "
+                "outside the range the model can invert"
+            ) from None
+
+    level = probability("level", level)
+    z = _z(level)
+    positive("eta", m.eta)
+    rss = real("rss", rss)
+    d_hat = invert(rss)
+    if m.sigma is None:
+        raise DataError("model has no fading model; fit or attach a sigma model first")
+    sigma, clamped = _sigma(m.sigma, d_hat)
+    d_lo = endpoint("lower", "+", rss + z * sigma)
+    d_hi = endpoint("upper", "-", rss - z * sigma)
     return LocalizationEstimate(d_hat, d_lo, d_hi, level, sigma, clamped)
 
 
@@ -406,18 +486,18 @@ def wide_quartics():
 def test_interval_equals_the_publicly_constructed_estimate(
     eta, rss_d0, d0, sigma, rss, level
 ):
-    # The private constructor skips the field checks that the steps before
-    # it imply; the public one, fed the same values, must agree exactly.
+    # The interval fills its estimate in place, skipping the field checks
+    # that the steps before it imply; the public constructor, fed the same
+    # values, must agree exactly, and every refusal must be the reference's.
     m = model(eta=eta, rss_d0=rss_d0, d0=d0, sigma=sigma)
     try:
         got = confidence_interval(m, rss, level=level)
     except RssifitError as exc:
-        assert str(exc)
-        with pytest.raises(Exception) as want:
-            public_interval(m, rss, level)
-        if isinstance(want.value, RssifitError):
-            assert type(want.value) is type(exc)
+        with pytest.raises(RssifitError) as want:
+            reference_interval(m, rss, level)
+        assert type(exc) is type(want.value) and str(exc) == str(want.value)
         return
+    assert reference_interval(m, rss, level) == got
     want = public_interval(m, rss, level)
     assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
     fields = dataclasses.astuple(got)
@@ -520,14 +600,3 @@ def test_the_one_step_estimate_is_an_ordinary_frozen_dataclass():
     wider = dataclasses.replace(est, level=0.99)
     assert wider.level == 0.99 and wider.d_hat == est.d_hat
     assert dataclasses.replace(est) == est
-
-
-def test_private_constructor_refuses_a_disordered_interval_as_the_public_one():
-    fields = (10.0, 12.0, 30.0, 0.95, 2.0, False)  # d_lo above d_hat
-    with pytest.raises(DataError) as public:
-        LocalizationEstimate(*fields)
-    with pytest.raises(DataError) as private:
-        LocalizationEstimate._from_fields(*fields)
-    assert str(private.value) == str(public.value)
-    ordered = (10.0, 5.0, 30.0, 0.95, 2.0, False)
-    assert LocalizationEstimate._from_fields(*ordered) == LocalizationEstimate(*ordered)

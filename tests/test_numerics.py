@@ -1,6 +1,7 @@
 """Dense solver and least-squares fits, checked against independent oracles."""
 
 import platform
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -29,9 +30,9 @@ from rssifit import (
     solve_dense,
     stationarity_sums,
 )
-from rssifit import calibration
+from rssifit import calibration, numerics
 from rssifit.calibration import INTERCEPT_MODES, SIGMA_TARGETS
-from rssifit.numerics import _moment_matrix, _moment_system
+from rssifit.numerics import CACHE_MAX_DISTANCES, _moment_matrix, _moment_system
 
 QUARTIC = (4, 3, 2, 1, 0)
 
@@ -425,6 +426,53 @@ def test_seventeen_distance_sets_evict_one_and_change_no_result():
     assert polyfit_quartic(sets[0], y) == first[0]
     assert _moment_matrix.cache_info().misses == 18  # the oldest was evicted
     assert [polyfit_quartic(d, y) for d in sets] == first
+
+
+def test_large_distance_sets_are_not_kept_as_cache_keys():
+    # Kept as keys, 16 lines on distinct 10^6-point x held ~129 MB.
+    _caches_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(16):
+            x = np.arange(1e6) + k
+            ols_line(x, 2.0 * x + 1.0)
+        del x
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 4e6
+    assert _moment_matrix.cache_info().currsize == 0
+
+
+def _all_fits(d):
+    y = np.sin(d) + 0.01 * d + 3.0
+    rows = [DistanceStats(v, -40.0 - 0.2 * v, w, 10) for v, w in zip(d, y.tolist())]
+    stats = SurveyStats("threshold", rows)
+    fits = [polyfit_quartic(d, y), ols_line(d, y), fit_path_loss(stats)]
+    fits += [fit_sigma_polynomial(stats, target) for target in SIGMA_TARGETS]
+    return fits, [(f, f.diagnostics, repr(f)) for f in fits]
+
+
+@pytest.mark.parametrize("n", [CACHE_MAX_DISTANCES + k for k in (-1, 0, 1)])
+def test_sets_at_the_cache_threshold_fit_alike_on_both_paths(monkeypatch, n):
+    d = np.linspace(1.0, 60.0, n).tolist()
+    results = []
+    for limit in (0, n, CACHE_MAX_DISTANCES):  # never, always, as shipped
+        monkeypatch.setattr(numerics, "CACHE_MAX_DISTANCES", limit)
+        _caches_clear()
+        fits, summary = _all_fits(np.array(d))
+        cached = (_moment_matrix.cache_info().currsize,
+                  calibration._regressor.cache_info().currsize)
+        assert all(cached) if n <= limit else not any(cached)
+        results.append(summary)
+    assert results[0] == results[1] == results[2]
+    # The embedded 20-distance surveys stay on the cached path.
+    _caches_clear()
+    stats = embedded_dataset("longwall-face").stats
+    fit_sigma_polynomial(stats, "residual_y", fit_path_loss(stats).model)
+    assert calibration._regressor.cache_info().currsize
+    assert _moment_matrix.cache_info().currsize
 
 
 def moment_reference(d, y, powers):

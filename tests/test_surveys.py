@@ -648,6 +648,32 @@ def test_stats_columns_refuse_the_first_bad_row_as_distance_stats_words_it(rows)
     assert _built(from_columns, "lab", rows) == _built(from_rows, "lab", rows)
 
 
+@pytest.mark.parametrize("column, value", [
+    (0, 0.0), (1, math.nan), (2, -0.5), (3, 0), (4, 100.5),
+])  # a distance <= 0, a mean not finite, sd < 0, n < 1, prr > 100
+@pytest.mark.parametrize("where", [0, 50_000, 99_999])
+def test_a_large_stats_table_builds_only_its_first_bad_row(
+    monkeypatch, column, value, where
+):
+    n = 100_000
+    columns = [np.arange(1.0, n + 1.0), np.full(n, -60.0), np.full(n, 2.0),
+               np.full(n, 20, dtype=np.int64), np.full(n, math.nan)]
+    columns[column][where] = value
+    row = [c[where].item() for c in columns]
+    with pytest.raises(DataError) as want:
+        DistanceStats(*row[:4], None if row[4] != row[4] else row[4])
+    built, post_init = [], DistanceStats.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DistanceStats, "__post_init__", counted)
+    with pytest.raises(DataError) as got:
+        SurveyStats._from_columns("big", *columns)
+    assert str(got.value) == str(want.value) and len(built) == 1
+
+
 def test_prr_column_round_trips_present_and_absent_values():
     rows = (
         DistanceStats(1.0, -50.0, 1.5, 20, 100.0),
