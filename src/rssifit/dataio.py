@@ -13,12 +13,14 @@ Survey CSV  header ``site,distance_m,rssi_dbm``, one sample per row. A file
             exactly; one with repeated distance rows reloads in the pooled
             form. Two readers share the work. A well-formed file, LF or CRLF,
             whose numbers are all plain decimals (:func:`_decimals`, the
-            17-digit samples the writer emits included) is read by a
-            byte-level kernel; any other file (an exponent, blanks or quotes
-            around a number, a malformed record) by a row loop over
-            ``csv.reader``. Results, error messages and line numbers are the
-            row loop's whichever reads the file. Saving reads the survey's
-            arrays: the site is quoted once and each distance formatted once.
+            17-digit samples the writer emits included) is read from its
+            bytes by a kernel that decodes only the site field; any other
+            file (an exponent, blanks or quotes around a number, a site that
+            is not UTF-8 or holds a NUL, a malformed record) is decoded and
+            read by a row loop over ``csv.reader``. Results, error messages
+            and line numbers are the row loop's whichever reads the file.
+            Saving reads the survey's arrays: the site is quoted once and
+            each distance formatted once.
 
 Stats CSV   header ``distance_m,mean_dbm,sd_db,prr_pct,n``, one distance per
             row, mirroring the embedded survey tables. ``prr_pct`` may be
@@ -195,7 +197,9 @@ def _pooled(site: str, distance, rssi) -> RssiSurvey:
     by = np.argsort(rank, kind="stable")
     moved = sizes[by]
     shift = runs[by] - (np.cumsum(moved) - moved)  # a run's start, old - new
-    samples = rssi[np.arange(distance.size) + np.repeat(shift, moved)]
+    index = np.repeat(shift, moved)
+    index += np.arange(distance.size)  # in place, not a third n-sized array
+    samples = rssi[index]
     counts = np.zeros(unique.size, np.intp)
     np.add.at(counts, rank, sizes)
     return RssiSurvey._from_columns(site, unique[order], counts, samples)
@@ -228,35 +232,35 @@ def _survey_rows(text: str) -> RssiSurvey:
 
 
 # The header, then the first row's site field as written and its comma:
-# quoted, with "" for a quote inside, or bare; neither holds a line break.
+# quoted, with "" for a quote inside, or bare; neither holds a line break
+# or a NUL (which the csv module refuses before Python 3.11).
 _SURVEY_START = re.compile(
-    re.escape(",".join(SURVEY_HEADER)) + r'\r?\n((?:"(?:[^"\r\n]|"")*"|[^",\r\n]*),)'
+    re.escape(",".join(SURVEY_HEADER).encode())
+    + rb'\r?\n((?:"(?:[^"\r\n\x00]|"")*"|[^",\r\n\x00]*),)'
 )
 
 
-def _survey_bulk(data: bytes, text: str) -> RssiSurvey | None:
-    """Parse a well-formed survey (``data`` decoded as ``text``) in bulk.
-
-    Returns None, and the row loop reads the file, whenever it cannot show
-    that the file reads exactly as the row loop reads it: another header
-    spelling; a line that does not start with the first row's site field,
-    that has a comma more or less than that field and the two number
-    columns, or that holds a CR anywhere but at its end; a line longer than
-    the csv field limit; a number that is not a plain decimal
-    (:func:`_decimals`); anything :class:`RssiSurvey` refuses. A record
-    running over a line break would hold a quote or a comma of the next
-    line's site field in a number, which the kernel does not read.
-    """
-    first = _SURVEY_START.match(text)
+def _survey_bulk(data: bytes) -> RssiSurvey | None:
+    """Parse a well-formed survey file in bulk from its bytes; None, and the
+    row loop decodes and reads the file, whenever it cannot show that the
+    file reads exactly as the row loop reads it: another header spelling; a
+    line that does not start with the first row's site field, that has a
+    comma more or less than that field and the two number columns, or that
+    holds a CR anywhere but at its end; a line longer than the csv field
+    limit; a number that is not a plain decimal (:func:`_decimals`); a site
+    that is not UTF-8 or holds a NUL; anything :class:`RssiSurvey` refuses.
+    A record running over a line break would hold a quote or a comma of the
+    next line's site field in a number, which the kernel does not read. All
+    else is ASCII and each site field the first one's bytes, so the file is
+    UTF-8 exactly when the first site decodes."""
+    first = _SURVEY_START.match(data)
     limit = csv.field_size_limit()
     if first is None or first.start(1) - 1 > limit:  # the header line too
         return None
-    start, prefix = first.start(1), first.group(1)  # in bytes too: ASCII header
-    mark = np.frombuffer(prefix.encode("utf-8"), np.uint8)
-    commas = prefix.count(",") + 1
-    crlf = b"\r" in data
-    columns = []
-    for block in _blocks(data, start):
+    prefix = first.group(1)
+    mark, commas = np.frombuffer(prefix, np.uint8), prefix.count(b",") + 1
+    crlf, columns = b"\r" in data, []
+    for block in _blocks(data, first.start(1)):
         fields = _survey_fields(block, mark, commas, limit, crlf)
         if fields is None:
             return None
@@ -265,13 +269,14 @@ def _survey_bulk(data: bytes, text: str) -> RssiSurvey | None:
         if pair[0] is None or pair[1] is None:
             return None
         columns.append(pair)
-    distance, rssi = (np.concatenate(c) for c in zip(*columns))
+    distance, rssi = map(np.concatenate, zip(*columns))
+    del columns  # the blocks' readings go before _pooled gathers the samples
     site = prefix[:-1]
-    if site.startswith('"'):
-        site = site[1:-1].replace('""', '"')
+    if site.startswith(b'"'):
+        site = site[1:-1].replace(b'""', b'"')
     try:
-        return _pooled(site, distance, rssi)
-    except DataError:
+        return _pooled(site.decode("utf-8"), distance, rssi)
+    except (UnicodeDecodeError, DataError):
         return None
 
 
@@ -389,9 +394,8 @@ def load_survey_csv(data: bytes) -> RssiSurvey:
     A well-formed file is read in bulk; any other input goes through the
     row loop, which returns the same survey or raises the same error.
     """
-    text = _decode(data)
-    survey = _survey_bulk(data, text)
-    return _survey_rows(text) if survey is None else survey
+    survey = _survey_bulk(data)
+    return _survey_rows(_decode(data)) if survey is None else survey
 
 
 def save_stats_csv(stats: SurveyStats) -> bytes:
@@ -486,7 +490,7 @@ def model_from_json(data: bytes) -> ShadowedPathLossModel:
     if "format_version" not in doc:
         raise FormatError("missing field 'format_version'")
     version = doc["format_version"]
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:  # not True, 1.0
         raise FormatError(
             f"unsupported format_version {version!r}; "
             f"this reader understands {MODEL_FORMAT_VERSION}"

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -358,10 +359,11 @@ def test_model_document_rejects_missing_and_mistyped_fields():
     booled = dict(doc, eta=True, sigma=None)
     with pytest.raises(FormatError, match="'eta'.*number"):
         model_from_json(json.dumps(booled).encode())
-    with pytest.raises(FormatError, match="format_version"):
-        model_from_json(
-            json.dumps(dict(doc, eta=2.0, format_version=99)).encode()
-        )
+    for version in (99, True, 1.0):  # True == 1 == 1.0, yet neither is 1
+        with pytest.raises(FormatError, match="unsupported format_version"):
+            model_from_json(
+                json.dumps(dict(doc, eta=2.0, format_version=version)).encode()
+            )
     with pytest.raises(FormatError):
         model_from_json(b"not json at all")
     with pytest.raises(FormatError):
@@ -530,7 +532,7 @@ ODD_NUMBERS = ("0", "-1", "1e400", "-1e400", "1e-400", "nan", "-nan", "inf",
                "Infinity", "-inf", "1_0", "\u0661", "1\x1c", "\x1f1", "1\x00",
                '"3"x', "0x10", "1e", "", "abc")
 SITES = ("A", "face A", " A", "A ", "a,b", 'a"b', "a\nb", "a\r\nb", "",
-         "\ufeffA", "A\x1c", "A\x0c", "mine, level 2")
+         "\ufeffA", "A\x1c", "A\x0c", "mine, level 2", "A\x00")
 DEFECTS = ("none",) * 6 + ("odd-number",) * 3 + (
     "blank", "blank-first", "space", "short", "long",
     "other-site", "bare-cr", "trailing-blank", "header", "no-rows", "not-utf8",
@@ -698,7 +700,7 @@ def test_a_carriage_return_anywhere_reads_as_the_row_loop_reads_it():
                     assert got[0] is FormatError
                 else:
                     assert got == expected
-                kernel += dataio._survey_bulk(data, data.decode()) is not None
+                kernel += dataio._survey_bulk(data) is not None
     assert kernel >= 5
 
 
@@ -713,9 +715,70 @@ def test_misaligned_lines_with_the_right_number_of_breaks_go_to_the_row_loop():
         ["7,1,-50", "7,1", "7,7,1,-51", "7,2,-52"],
     ):
         data = ("site,distance_m,rssi_dbm\n" + "\n".join(lines) + "\n").encode()
-        assert dataio._survey_bulk(data, data.decode()) is None
+        assert dataio._survey_bulk(data) is None
         assert _outcome(reference_load_survey_csv, data) == error
         assert _outcome(load_survey_csv, data) == error
+
+
+def test_a_nul_in_the_site_sends_the_file_to_the_row_loop():
+    # The csv module refuses a NUL before Python 3.11 and reads it after;
+    # the row loop then reads the file as csv does on each version.
+    for site in ("a\x00b", '"a\x00b"', '"a,\x00"'):
+        data = f"site,distance_m,rssi_dbm\n{site},1,-50\n{site},1,-51\n".encode()
+        assert dataio._survey_bulk(data) is None
+        expected = _outcome(reference_load_survey_csv, data)
+        got = _outcome(load_survey_csv, data)
+        if expected[0] is csv.Error:
+            assert got[0] is FormatError and "NUL" in got[1]
+        else:
+            assert got == expected
+
+
+def _ingest_shaped(per_pass: int) -> bytes:
+    """20 distances out and back, integer dBm: the back pass repeats each."""
+    lines = ["site,distance_m,rssi_dbm\n"]
+    for order in (range(20), reversed(range(20))):
+        for k in order:
+            lines += (f"ingest,{k + 1},{-40 - (j * 7 + k) % 53}\n"
+                      for j in range(per_pass))
+    return "".join(lines).encode()
+
+
+def test_the_kernel_reads_a_file_without_decoding_it(monkeypatch):
+    # Only the row loop decodes: the kernel reads the bytes, a UTF-8 site
+    # included, and names no file undecodable.
+    model = ShadowedPathLossModel(1.0, -45.0, 2.3, ConstantSigma(4.0))
+    lf = save_survey_csv(simulate_survey(
+        SimulationSpec(model, tuple(range(1, 21)), 50, seed=5)
+    ))
+    ingest = _ingest_shaped(100)
+    files = [ingest, lf, lf.replace(b"\n", b"\r\n"),
+             ingest.replace(b"\ningest,", "\n\xe9 \u2014,".encode())]
+    expected = [reference_load_survey_csv(data) for data in files]
+    assert expected[-1].site == "\xe9 \u2014"
+
+    def no_decode(data):
+        raise AssertionError("the kernel's file was decoded")
+
+    monkeypatch.setattr(dataio, "_decode", no_decode)
+    for data, survey in zip(files, expected):
+        assert load_survey_csv(data) == survey
+
+
+def test_loading_a_plain_file_peaks_below_five_times_its_bytes():
+    # The readings are held once at a time: no text copy of the file, the
+    # blocks' columns dropped once joined, the gather index built in place.
+    data = ("site,distance_m,rssi_dbm\n" + "".join(
+        f"A,{k // 10_000 + 1},{-40 - k % 53}\n" for k in range(200_000)
+    )).encode()
+    load_survey_csv(data)
+    tracemalloc.start()
+    try:
+        load_survey_csv(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * len(data), peak / len(data)
 
 
 def reference_pooled(distance, rssi):
@@ -1097,7 +1160,7 @@ def parent_model_from_json(data: bytes) -> ShadowedPathLossModel:
     if "format_version" not in doc:
         raise FormatError("missing field 'format_version'")
     version = doc["format_version"]
-    if version != dataio.MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != dataio.MODEL_FORMAT_VERSION:
         raise FormatError(
             f"unsupported format_version {version!r}; "
             f"this reader understands {dataio.MODEL_FORMAT_VERSION}"
