@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 input or validation problem, 2 numerical failure.
 Structured output (``--format json`` or ``csv``) is written only after a
 command has fully succeeded, so a failing run never emits a partial document,
 and identical invocations produce byte-identical structured output (tested
-by tests/test_cli.py and tests/test_cli_golden.py, run with and without AVX-512).
+by tests/test_cli.py and tests/test_cli_golden.py; the golden records are
+also run with numpy's AVX-512 targets switched off).
 
 Text output may style warnings when standard output is a terminal; set
 NO_COLOR (or redirect) to suppress. json/csv output is never styled.

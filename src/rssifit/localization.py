@@ -93,10 +93,7 @@ def estimate_distance(model: ShadowedPathLossModel, rss: float) -> float:
     inverse (RSS would not decrease with distance).
     """
     positive("eta", model.eta)
-    return _invert(model, real("rss", rss))
-
-
-def _invert(model: ShadowedPathLossModel, rss: float) -> float:
+    rss = real("rss", rss)
     try:
         d = model.d0 * 10.0 ** ((model.rss_d0 - rss) / (10.0 * model.eta))
     except OverflowError:
@@ -165,8 +162,8 @@ def confidence_interval(
     z = _z(level)
     positive("eta", model.eta)
     rss = real("rss", rss)
-    # Each inversion is _invert's expression; a pow that overflows leaves
-    # its distance inf, which the check after it refuses.
+    # Each inversion is estimate_distance's expression; a pow that overflows
+    # leaves its distance inf, which the check after it refuses.
     d0, rss_d0, scale = model.d0, model.rss_d0, 10.0 * model.eta
     d_hat = d_lo = d_hi = math.inf
     try:

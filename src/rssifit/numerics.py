@@ -13,13 +13,13 @@ The elimination and the power sums run in plain float64 operations in one
 documented order: elimination and back substitution in Python floats (the
 first row with the largest |a[i][k]| pivots; each back-substitution sum runs
 left to right), the powers of d as repeated products, not np.power, and
-every sum over the rows in row order. None of it calls BLAS, which changes
-with the CPU, so the solves and the stationarity sums give the same bits
-whatever BLAS build numpy runs on. The QR fallback and the condition
-estimate of systems larger than 2x2 still call LAPACK.
+every sum over the rows in row order; the condition estimate, kappa_1, is
+solved from the same factors. None of it calls BLAS, which changes with the
+CPU, and only the QR fallback calls LAPACK: the solves, the estimates and
+the stationarity sums give the same bits whatever BLAS build numpy runs on.
 
 Why this is safe here: the moment matrix of d = 1..20 has a condition
-estimate around 2.3e11. That sounds alarming, but the quantity the callers
+estimate around 3.1e11. That sounds alarming, but the quantity the callers
 check is the stationarity of the normal equations (sum of resid * d^k per
 power k), and partial pivoting in float64 drives those sums to 1.4e-8 or less
 on the embedded surveys, comfortably inside the 1e-6 acceptance bound. Iterative
@@ -61,7 +61,8 @@ CACHE_MAX_DISTANCES = 4096
 
 class _Factored:
     """A validated read-only matrix and what it alone fixes, each computed on
-    first use: its condition estimate and its partial-pivot factors."""
+    first use: its partial-pivot factors and the condition estimate solved
+    from them."""
 
     def __init__(self, matrix: object) -> None:
         m = np.array(matrix, dtype=np.float64)
@@ -76,24 +77,20 @@ class _Factored:
 
     @cached_property
     def condition_estimate(self) -> float:
-        if len(self.matrix) > 2:
-            return float(np.linalg.cond(self.matrix))
-        entries = self.matrix.ravel().tolist()
-        top = max(map(abs, entries))
-        if not top:
+        """kappa_1 = |A|_1 * |A^-1|_1, A^-1 solved a column at a time from the
+        factors and each column's |entries| summed by fsum (correctly rounded);
+        inf if the factors find A singular or a sum overflows or is nan."""
+        eye = np.eye(len(self.matrix)).tolist()
+        # fsum raises OverflowError where finite terms sum past the float range.
+        try:
+            factors = self.factors
+            inverse = [math.fsum(map(abs, _solve(factors, e))) for e in eye]
+            norm = max(math.fsum(map(abs, c)) for c in self.matrix.T.tolist())
+        except (SingularMatrixError, OverflowError):
             return math.inf
-        if len(self.matrix) == 1:
-            return 1.0
-        # Divided by the largest entry first, so that nothing below overflows
-        # and only a determinant far below it underflows (to 0: singular).
-        # The larger singular value is sigma_max below, the smaller
-        # |det| / sigma_max.
-        a, b, c, d = (v / top for v in entries)
-        det = abs(a * d - b * c)
-        if not det:
+        if not all(map(math.isfinite, inverse)):
             return math.inf
-        sigma_max = (math.hypot(a + d, b - c) + math.hypot(a - d, b + c)) / 2
-        return sigma_max * sigma_max / det
+        return norm * max(inverse)
 
     @cached_property
     def factors(self) -> tuple[tuple, tuple[tuple[float, ...], ...], tuple[float, ...]]:
@@ -150,13 +147,12 @@ class DenseSystem:
 
     @property
     def condition_estimate(self) -> float:
-        """2-norm condition number of ``matrix``, computed once per matrix half.
+        """1-norm condition number of ``matrix``, computed once per matrix half.
 
-        ``inf`` for a singular matrix. Sizes 1 and 2 use a closed form in
-        plain floats; larger systems call ``np.linalg.cond`` (an SVD in
-        LAPACK), whose last digits vary with the LAPACK build. The estimate
-        only decides the QR fallback and the quartic's refit against
-        :data:`CONDITION_FALLBACK`; read it as an order of magnitude.
+        ``inf`` for a singular matrix. Solved from the elimination's factors in
+        plain floats, so it has the same bits on every machine. It only
+        decides the QR fallback and the quartic's refit against
+        :data:`CONDITION_FALLBACK`.
         """
         return self._half.condition_estimate
 
@@ -177,15 +173,22 @@ def _back_substitute(r: list[list[float]], y: list[float]) -> list[float]:
     x = [0.0] * n
     for k in range(n - 1, -1, -1):
         row = r[k]
-        if row[k] == 0.0:
-            raise SingularMatrixError(
-                f"zero diagonal in triangular factor at row {k}"
-            )
         total = 0.0
         for j in range(k + 1, n):
             total += row[j] * x[j]
         x[k] = (y[k] - total) / row[k]
     return x
+
+
+def _solve(factors: tuple, b: list[float]) -> list[float]:
+    """x of A x = b from A's factors: the list ``b`` takes the elimination's swaps
+    and updates in place and in order, then the upper triangle is solved."""
+    steps, upper, _ = factors
+    for k, (p, column) in enumerate(steps):
+        b[k], b[p] = b[p], b[k]
+        for i, factor in enumerate(column, k + 1):
+            b[i] -= factor * b[k]
+    return _back_substitute(upper, b)
 
 
 def orthogonal_solve(system: DenseSystem) -> np.ndarray:
@@ -221,14 +224,9 @@ def solve_dense(system: DenseSystem) -> tuple[np.ndarray, SolveDiagnostics]:
     if not cond <= CONDITION_FALLBACK:
         x = orthogonal_solve(system)
         return x, SolveDiagnostics((), cond, used_orthogonal=True)
-    steps, upper, pivots = system._half.factors
-    # The rhs takes the elimination's swaps and updates, in their order.
-    b = system.rhs.tolist()
-    for k, (p, column) in enumerate(steps):
-        b[k], b[p] = b[p], b[k]
-        for i, factor in enumerate(column, k + 1):
-            b[i] -= factor * b[k]
-    return np.array(_back_substitute(upper, b)), SolveDiagnostics(pivots, cond)
+    factors = system._half.factors
+    x = _solve(factors, system.rhs.tolist())
+    return np.array(x), SolveDiagnostics(factors[2], cond)
 
 
 def _pair(a: object, b: object, names: str) -> tuple[np.ndarray, np.ndarray]:

@@ -604,9 +604,11 @@ def test_each_command_loads_only_the_modules_it_runs(fresh_python, tmp_path, com
         # check_survey_size's words before anything is built.
         ("1:1e300:1e-300", "5 samples at each of inf points are more than an "
          "array holds"),
+        ("1:2:3:4", "expected start:stop or start:stop:step"),
+        ("1:5:0", "step must be > 0"),
     ],
 )
-def test_simulate_refuses_a_non_finite_range_by_name(
+def test_simulate_refuses_a_bad_range_by_name(
     capsys, tmp_path, distances, reason
 ):
     model = _model_file(tmp_path)

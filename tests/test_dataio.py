@@ -286,6 +286,14 @@ def test_stats_load_rejects_invalid_rows():
         load_stats_csv(header + b"1,-50,1,,20,extra\n")
     with pytest.raises(FormatError, match="line 1"):
         load_stats_csv(b"distance,mean\n")
+    for data, message in (
+        (b"", "line 1: empty file, expected header "
+              "'distance_m,mean_dbm,sd_db,prr_pct,n'"),
+        (header, "line 2: no data rows"),
+    ):
+        with pytest.raises(FormatError) as caught:
+            load_stats_csv(data)
+        assert str(caught.value) == message
 
 
 def test_embedded_export_round_trips_through_loader(gateroad):
