@@ -97,6 +97,13 @@ def _table(header: tuple[str, ...], records) -> tuple:
     return header, ([r[k] for k in header] for r in records)
 
 
+def _text_table(header: tuple[str, ...], records) -> list[str]:
+    """Text lines of a table, each value right-aligned to its column's name."""
+    spec = {k: f">{len(k)}{'g' if k == 'distance_m' else '.4f'}" for k in header}
+    rows = ([format(r[k], spec[k]) for k in header] for r in records)
+    return ["  " + "  ".join(cells) for cells in (header, *rows)]
+
+
 def _emit(fmt: str, payload: dict | None, table, lines) -> None:
     """Write the rendering ``fmt`` asks for: the only writer of command output.
 
@@ -193,12 +200,7 @@ def _cmd_fit(args):
         )
     if pub is not None and pub["note"]:
         lines.append(_styled(f"  NOTE: {pub['note']}"))
-    lines.append("  distance_m  observed_dbm  fitted_dbm  residual_db")
-    lines += (
-        f"  {r['distance_m']:>10g}  {r['observed_dbm']:>12.4f}  "
-        f"{r['fitted_dbm']:>10.4f}  {r['residual_db']:>11.4f}"
-        for r in rows
-    )
+    lines += _text_table(_FIT_COLUMNS[:4], rows)
     return payload, _table(_FIT_COLUMNS, rows), lines
 
 
@@ -246,11 +248,7 @@ def _cmd_sigma_fit(args):
             f"  published r2 = {published.r2:.4g}   "
             f"published rmse = {published.rmse:.4g} dB",
         ]
-    lines.append("  distance_m  observed_db  fitted_db")
-    lines += (
-        f"  {r['distance_m']:>10g}  {r['observed_db']:>11.4f}  {r['fitted_db']:>9.4f}"
-        for r in rows
-    )
+    lines += _text_table(_SIGMA_COLUMNS, rows)
     return payload, _table(_SIGMA_COLUMNS, rows), lines
 
 

@@ -6,17 +6,17 @@ polynomial a 5x5 moment system in raw powers of distance (d^8 down to d^0).
 One power-sum builder makes all three and the quartic's stationarity sums.
 The solver is Gaussian elimination with partial pivoting, written out rather
 than delegated, so the pivot sequence and failure behaviour are part of the
-tested contract. A QR orthogonal factorization handles the rare
-ill-conditioned system.
+tested contract. A QR orthogonal factorization takes the rare
+ill-conditioned system, and refuses one singular to working precision.
 
 The elimination and the power sums run in plain float64 operations in one
 documented order: elimination and back substitution in Python floats (the
 first row with the largest |a[i][k]| pivots; each back-substitution sum runs
-left to right), the powers of d as repeated products, not np.power, and
-every sum over the rows in row order; the condition estimate, kappa_1, is
-solved from the same factors. None of it calls BLAS, which changes with the
-CPU, and only the QR fallback calls LAPACK: the solves, the estimates and
-the stationarity sums give the same bits whatever BLAS build numpy runs on.
+left to right), d^k as np.vander's repeated products, not np.power, and every
+sum over the rows in row order; kappa_1, the condition estimate, is solved
+from the same factors. None of it calls BLAS, which changes with the CPU, and
+only the QR fallback calls LAPACK: the solves, the estimates and the
+stationarity sums give the same bits whatever BLAS build numpy runs on.
 
 Why this is safe here: the moment matrix of d = 1..20 has a condition
 estimate around 3.1e11. That sounds alarming, but the quantity the callers
@@ -24,17 +24,19 @@ check is the stationarity of the normal equations (sum of resid * d^k per
 power k), and partial pivoting in float64 drives those sums to 1.4e-8 or less
 on the embedded surveys, comfortably inside the 1e-6 acceptance bound. Iterative
 refinement was tried and removed: one refinement step made the stationarity
-sums slightly worse (residual rounding dominates at this scale). The QR path
-exists for condition estimates beyond 1e12, where elimination through the
-normal equations can no longer be trusted; a rescaled fit in d/d_max covers
-surveys whose span pushes the moments there. A moment matrix, its condition
-estimate (which the QR fallback and the refit both read) and its factors are
-computed once per distance set, in a cache of the 16 sets last used, each
-keyed by the bytes of its distances; a fit sums and solves only its
-right-hand side. Sets above CACHE_MAX_DISTANCES skip the cache, so that no
-large key is kept, and get the same bits afresh on every fit. A span float64
-cannot carry (raw moments that overflow, or d_max^k that underflows when the
-refit is undone) is refused by name.
+sums slightly worse (residual rounding dominates at this scale). Beyond a
+condition estimate of 1e12 the solve goes through QR, which buys no accuracy
+here (against each system's exact rational solution, elimination errs no more
+on the trend, and from 1e15 QR refuses many systems that elimination answers)
+but refuses a system singular to working precision. A rescaled fit in d/d_max
+covers surveys whose span pushes the moments there. A moment matrix, its
+condition estimate (which the QR fallback and the refit both read) and its
+factors are computed once per distance set, in a cache of the 16 sets last
+used, each keyed by the bytes of its distances; a fit sums and solves only
+its right-hand side. Sets above CACHE_MAX_DISTANCES skip the cache, so that
+no large key is kept, and get the same bits afresh on every fit. A span
+float64 cannot carry (raw moments that overflow, or d_max^k that underflows
+when the refit is undone) is refused by name.
 """
 
 from __future__ import annotations
@@ -194,11 +196,11 @@ def _solve(factors: tuple, b: list[float]) -> list[float]:
 def orthogonal_solve(system: DenseSystem) -> np.ndarray:
     """Solve A x = b through a QR factorization of A.
 
-    More rounding-tolerant than elimination on ill-conditioned systems; used
-    by :func:`solve_dense` as the fallback path and callable directly. A
-    rank-deficient matrix leaves a diagonal entry of R at roundoff scale
-    rather than exactly zero, so singularity is judged against a tolerance
-    relative to the largest diagonal entry.
+    The fallback path of :func:`solve_dense`, and callable directly. No more
+    accurate than elimination on the fits' moment systems, it refuses one
+    singular to working precision: a rank-deficient matrix leaves a diagonal
+    entry of R at roundoff scale rather than exactly zero, so singularity is
+    judged against a tolerance relative to the largest diagonal entry.
     """
     q, r = np.linalg.qr(system.matrix)
     diag = np.abs(np.diag(r))
@@ -265,13 +267,11 @@ def _power_sums(d: np.ndarray, top: int, y: np.ndarray | None = None) -> list[fl
     d^k is a repeated product (d, d*d, ...) and each sum runs over the rows
     in row order. A sum that overflows is left inf or nan for the caller.
     """
-    # Column k is d^k; a sum over axis 0 of two or more columns adds whole
-    # rows one after another (numpy sums one contiguous column pairwise).
-    powers = np.ones((d.size, top + 1))
+    # np.vander's column k is d^k, multiply.accumulate's product chain along
+    # each row; a sum over axis 0 of two or more columns adds whole rows one
+    # after another (numpy sums one contiguous column pairwise).
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply.accumulate(
-            np.repeat(d[:, np.newaxis], top, axis=1), axis=1, out=powers[:, 1:]
-        )
+        powers = np.vander(d, top + 1, increasing=True)
         if y is not None:
             powers *= y[:, np.newaxis]
         return powers.sum(axis=0).tolist()
@@ -372,7 +372,7 @@ def _fit_moments(
     # d_max^k as repeated products, as the moments take them. Near 0, d_max^k
     # underflows and a quotient overflows: refused below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        coeffs = scaled_coeffs / np.cumprod([1.0] + [d_max] * 4)[::-1]
+        coeffs = scaled_coeffs / np.vander([d_max], 5)[0]
     if not np.isfinite(coeffs).all():
         raise _out_of_range(d, "undoing the d/d_max scaling overflows")
     diag = replace(diag, condition_estimate=system.condition_estimate, scaled=True)
@@ -389,8 +389,8 @@ def polyfit_quartic(d: object, y: object) -> PolynomialFit:
     dv, yv = _pair(d, y, "d and y")
     if not (np.isfinite(dv).all() and np.isfinite(yv).all()):
         raise DataError("d and y must be finite")
-    n_distinct = len(set(dv.tolist()))  # dv is finite, so no nan is counted apart
-    if n_distinct < 6:
+    # Only a refusal counts all of dv (finite, so no nan is counted apart).
+    if len(set(dv[:64].tolist())) < 6 and (n_distinct := len(set(dv.tolist()))) < 6:
         raise InsufficientDataError(
             f"quartic fit needs at least 6 distinct distances, got {n_distinct}"
         )

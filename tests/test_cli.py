@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import sys
 import time
 import warnings
 
@@ -66,6 +68,28 @@ def test_fit_longwall_always_notes_discrepancy(capsys):
     assert payload["published"]["eta"] == 2.14
     assert payload["published"]["note"]
     assert payload["eta"] == pytest.approx(2.3111, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "opener, no_color, styled",
+    [(os.openpty, None, True), (os.openpty, "1", False), (os.pipe, None, False)],
+    ids=["tty", "NO_COLOR", "pipe"],
+)
+def test_warnings_are_yellow_only_on_a_terminal_without_no_color(
+    monkeypatch, opener, no_color, styled
+):
+    if no_color is None:
+        monkeypatch.delenv("NO_COLOR", raising=False)
+    else:
+        monkeypatch.setenv("NO_COLOR", no_color)
+    read_end, write_end = opener()
+    try:
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            text = cli._styled("warning: w")
+    finally:
+        os.close(read_end)
+    assert text == ("\x1b[33mwarning: w\x1b[0m" if styled else "warning: w")
 
 
 def test_fit_anchored_mode_flag(capsys):

@@ -33,7 +33,12 @@ from rssifit import (
 )
 from rssifit import calibration, numerics
 from rssifit.calibration import INTERCEPT_MODES, SIGMA_TARGETS
-from rssifit.numerics import CACHE_MAX_DISTANCES, _moment_matrix, _moment_system
+from rssifit.numerics import (
+    CACHE_MAX_DISTANCES,
+    _moment_matrix,
+    _moment_system,
+    _power_sums,
+)
 
 QUARTIC = (4, 3, 2, 1, 0)
 
@@ -471,6 +476,23 @@ def test_large_distance_sets_are_not_kept_as_cache_keys():
     assert _moment_matrix.cache_info().currsize == 0
 
 
+def test_large_fits_peak_within_a_few_copies_of_their_inputs():
+    # Each sum holds one (n, k) table of powers and no copy of d beside it:
+    # the line's table is 1.5x and, refitted in d/d_max here, the quartic's
+    # 4.5x the inputs' bytes, with d/d_max and its key bytes beside it.
+    x = np.linspace(1.0, 60.0, 200_000)
+    y = np.sin(x) + 3.0
+    for fit, bound in ((ols_line, 2.5), (polyfit_quartic, 6.0)):
+        fit(x, y)
+        tracemalloc.start()
+        try:
+            fit(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * (x.nbytes + y.nbytes), fit.__name__
+
+
 def _all_fits(d):
     y = np.sin(d) + 0.01 * d + 3.0
     rows = [DistanceStats(v, -40.0 - 0.2 * v, w, 10) for v, w in zip(d, y.tolist())]
@@ -501,20 +523,22 @@ def test_sets_at_the_cache_threshold_fit_alike_on_both_paths(monkeypatch, n):
     assert _moment_matrix.cache_info().currsize
 
 
-def moment_reference(d, y, powers):
-    """The normal equations as documented for ``powers`` (highest first):
-    d^k as repeated products, each sum taken over the rows in row order, in
-    plain Python floats."""
-    top = powers[0]
-    moments = [0.0] * (2 * top + 1)
-    weighted = [0.0] * (top + 1)
-    for dr, yr in zip(d.tolist(), y.tolist()):
+def power_sums_reference(d, top, y=None):
+    """sum(y * d^k) for k = 0..top as documented, in Python floats: d^k the
+    repeated product 1.0 * d * d ..., each sum from 0.0 over the rows in order."""
+    sums = [0.0] * (top + 1)
+    for i, dr in enumerate(d):
         power = 1.0
-        for k in range(2 * top + 1):
-            moments[k] += power
-            if k <= top:
-                weighted[k] += yr * power
+        for k in range(top + 1):
+            sums[k] += power if y is None else y[i] * power
             power *= dr
+    return sums
+
+
+def moment_reference(d, y, powers):
+    """The normal equations as documented for ``powers`` (highest first)."""
+    moments = power_sums_reference(d.tolist(), 2 * powers[0])
+    weighted = power_sums_reference(d.tolist(), powers[0], y.tolist())
     matrix = [[moments[p + q] for q in powers] for p in powers]
     return matrix, [weighted[p] for p in powers]
 
@@ -546,6 +570,27 @@ def test_moment_sums_follow_the_documented_order_bit_for_bit():
         resid = stats.sd_db - polyval(sigma.coefficients, d)
         _, rhs = moment_reference(d, resid, QUARTIC)
         assert stationarity_sums(stats, sigma) == tuple(rhs[::-1])
+
+
+_EDGES = st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan))
+
+
+@given(
+    st.lists(st.tuples(*[st.one_of(_EDGES, st.floats(width=64))] * 2), min_size=1),
+    st.integers(1, 8),
+)
+@example([(1e200, 3.0), (-1e200, 2.0), (0.5, -0.0)], 2)  # overflow to inf, nan
+@example([(-0.0, -0.0)], 3)
+def test_power_sums_keep_the_documented_bits_on_edge_values(rows, top):
+    # Bit for bit, but for a nan's sign and payload, which numpy's and the
+    # processor's operand order may set either way.
+    d, y = map(np.array, zip(*rows))
+    for with_y in (False, True):
+        got = _power_sums(d, top, y if with_y else None)
+        want = power_sums_reference(d.tolist(), top, y.tolist() if with_y else None)
+        assert [math.isnan(v) or v.hex() for v in got] == [
+            math.isnan(v) or v.hex() for v in want
+        ]
 
 
 def partial_pivot_reference(a, b):
