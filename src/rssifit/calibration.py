@@ -118,9 +118,10 @@ class FitReport:
 
 
 @lru_cache(maxsize=16)
-def _regressor(d_bytes: bytes, d0: float) -> np.ndarray:
-    """The model's x = 10*log10(d/d0) per distance, by libm, read-only."""
-    d = np.frombuffer(d_bytes).tolist()
+def _regressor(d_buffer, d0: float) -> np.ndarray:
+    """The model's x = 10*log10(d/d0) per distance, by libm, read-only;
+    ``d_buffer`` holds float64 distances, as bytes or an array (_cached)."""
+    d = np.frombuffer(d_buffer).tolist()
     try:
         x = np.array([_log_distance(v, d0) for v in d])
         if not np.all(np.isfinite(x)):  # some d/d0 overflowed
@@ -151,7 +152,7 @@ def fit_path_loss(
         raise InsufficientDataError(
             f"need at least 3 distinct distances to fit a trend, got {d.size}"
         )
-    x = _cached(_regressor, d)(d.tobytes(), d0)  # slope -eta, intercept rss_d0
+    x = _cached(_regressor, d, d0)  # slope -eta, intercept rss_d0
     free = intercept_mode == "free"
     # Anchored, rss_d0 is the mean of the row nearest d0 (of two as near,
     # argmin takes the smaller distance) and only the slope is solved for.

@@ -19,6 +19,8 @@ Survey CSV  header ``site,distance_m,rssi_dbm``, one sample per row. A file
             is not UTF-8 or holds a NUL, a malformed record) is decoded and
             read by a row loop over ``csv.reader``. Results, error messages
             and line numbers are the row loop's whichever reads the file.
+            Both hand their columns to one pooling step, which moves each
+            reading once: as part of a whole run, or by one sort of the rows.
             Saving reads the survey's arrays: the site is quoted once and
             each distance formatted once.
 
@@ -175,31 +177,43 @@ def save_survey_csv(survey: RssiSurvey) -> bytes:
     return "".join(parts).encode("utf-8")
 
 
-def _pooled(site: str, distance, rssi) -> RssiSurvey:
+_RUN = 96  # rows per run, on average, from which _pooled moves whole runs
+
+
+def _pooled(site: str, columns) -> RssiSurvey:
     """Pool samples by distance in order of first appearance, in file order.
 
-    Works on runs of equal distances, not on readings: each run's distance
-    is ranked by the run it first appears in, the runs (not the rows) are
-    put in rank order by one stable sort (a radix sort, as the ranks are a
-    small unsigned type) and their readings are moved as whole runs. The
-    counts are the run lengths summed per rank.
+    ``columns`` holds the file's ``(distance, rssi)`` pairs in order: the
+    kernel's blocks, or the row loop's two lists. Each run of equal
+    distances in a pair (a cut between pairs splits a run into two pieces of
+    one rank) is ranked by the run its distance first appears in, and each
+    sample is moved once: runs of ``_RUN`` rows or more on average as whole
+    slices in rank order; shorter ones, where a slice per run costs more,
+    by one stable sort of the rows' ranks (a radix sort, as the ranks are a
+    small unsigned type) and one gather. The counts are the run lengths
+    summed per rank.
     """
-    distance, rssi = np.asarray(distance), np.asarray(rssi)
-    runs = np.flatnonzero(np.concatenate(([True], distance[1:] != distance[:-1])))
-    sizes = np.diff(runs, append=distance.size)
-    heads = distance[runs]
+    heads, edges, rssi = [], [], []
+    for distance, readings in columns:
+        distance = np.asarray(distance)
+        step = np.flatnonzero(distance[1:] != distance[:-1]) + 1
+        edges.append(np.concatenate(([0], step, [distance.size])))
+        heads.append(distance[edges[-1][:-1]])
+        rssi.append(np.asarray(readings))
+    heads, sizes = np.concatenate(heads), np.concatenate([np.diff(e) for e in edges])
     unique = np.unique(heads)
     inverse = np.searchsorted(unique, heads)  # no argsort of the runs
-    first = np.full(unique.size, runs.size)
-    np.minimum.at(first, inverse, np.arange(runs.size))
+    first = np.full(unique.size, heads.size)
+    np.minimum.at(first, inverse, np.arange(heads.size))
     order = np.argsort(first)
     rank = np.argsort(order).astype(np.min_scalar_type(order.size))[inverse]
-    by = np.argsort(rank, kind="stable")
-    moved = sizes[by]
-    shift = runs[by] - (np.cumsum(moved) - moved)  # a run's start, old - new
-    index = np.repeat(shift, moved)
-    index += np.arange(distance.size)  # in place, not a third n-sized array
-    samples = rssi[index]
+    if sizes.sum() < _RUN * sizes.size:
+        by = np.argsort(np.repeat(rank, sizes), kind="stable")
+        samples = np.concatenate(rssi)[by]
+    else:
+        edges = [e.tolist() for e in edges]
+        runs = [r[a:b] for r, e in zip(rssi, edges) for a, b in zip(e, e[1:])]
+        samples = np.concatenate([runs[i] for i in np.argsort(rank, kind="stable")])
     counts = np.zeros(unique.size, np.intp)
     np.add.at(counts, rank, sizes)
     return RssiSurvey._from_columns(site, unique[order], counts, samples)
@@ -228,7 +242,7 @@ def _survey_rows(text: str) -> RssiSurvey:
         raise FormatError("line 2: no data rows")
     if not site:
         raise FormatError(f"line {first}, column 'site': must not be empty")
-    return _pooled(site, distances, readings)
+    return _pooled(site, [(distances, readings)])
 
 
 # The header, then the first row's site field as written and its comma:
@@ -269,13 +283,11 @@ def _survey_bulk(data: bytes) -> RssiSurvey | None:
         if pair[0] is None or pair[1] is None:
             return None
         columns.append(pair)
-    distance, rssi = map(np.concatenate, zip(*columns))
-    del columns  # the blocks' readings go before _pooled gathers the samples
     site = prefix[:-1]
     if site.startswith(b'"'):
         site = site[1:-1].replace(b'""', b'"')
     try:
-        return _pooled(site.decode("utf-8"), distance, rssi)
+        return _pooled(site.decode("utf-8"), columns)
     except (UnicodeDecodeError, DataError):
         return None
 

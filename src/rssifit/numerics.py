@@ -33,8 +33,8 @@ covers surveys whose span pushes the moments there. A moment matrix, its
 condition estimate (which the QR fallback and the refit both read) and its
 factors are computed once per distance set, in a cache of the 16 sets last
 used, each keyed by the bytes of its distances; a fit sums and solves only
-its right-hand side. Sets above CACHE_MAX_DISTANCES skip the cache, so that
-no large key is kept, and get the same bits afresh on every fit. A span
+its right-hand side. Sets above CACHE_MAX_DISTANCES skip the cache and its
+key, so no large key is kept or copied, and get the same bits afresh. A span
 float64 cannot carry (raw moments that overflow, or d_max^k that underflows
 when the refit is undone) is refused by name.
 """
@@ -280,16 +280,20 @@ def _power_sums(d: np.ndarray, top: int, y: np.ndarray | None = None) -> list[fl
 _QUARTIC = (4, 3, 2, 1, 0)  # the quartic's powers of d, highest first
 
 
-def _cached(fn, d: np.ndarray):
-    """``fn``'s lru_cache for a set of at most CACHE_MAX_DISTANCES distances,
-    else the undecorated ``fn``: the same bits, and no large key kept."""
-    return fn if d.size <= CACHE_MAX_DISTANCES else fn.__wrapped__
+def _cached(fn, d: np.ndarray, *args):
+    """``fn(d, *args)``: through ``fn``'s lru_cache, keyed by d's bytes, for a
+    set of at most CACHE_MAX_DISTANCES distances, else undecorated on the
+    array itself: the same bits, and no large key kept or copy made."""
+    if d.size <= CACHE_MAX_DISTANCES:
+        return fn(d.tobytes(), *args)
+    return fn.__wrapped__(np.ascontiguousarray(d), *args)
 
 
 @lru_cache(maxsize=16)
-def _moment_matrix(d_bytes: bytes, powers: tuple[int, ...]) -> _Factored | None:
-    """_moment_system's matrix half, or None if a line's moments overflow."""
-    d, top = np.frombuffer(d_bytes), powers[0]
+def _moment_matrix(d_buffer, powers: tuple[int, ...]) -> _Factored | None:
+    """_moment_system's matrix half, or None if a line's moments overflow;
+    ``d_buffer`` holds float64 distances, as bytes or an array (_cached)."""
+    d, top = np.frombuffer(d_buffer), powers[0]
     moments = _power_sums(d, 2 * top)
     # No entry exceeds n + sum(d^(2*top)) in size, so a finite corner means
     # a finite matrix.
@@ -308,7 +312,7 @@ def _moment_system(
     Matrix entry (i, j) is sum(d^(p_i + p_j)), rhs entry i sum(y * d^p_i). A
     sum that overflows is refused naming ``names``, or above a line the span.
     """
-    half = _cached(_moment_matrix, d)(d.tobytes(), powers)
+    half = _cached(_moment_matrix, d, powers)
     weighted = _power_sums(d, powers[0], y)
     rhs = [weighted[p] for p in powers]
     if half is None or not all(map(math.isfinite, rhs)):

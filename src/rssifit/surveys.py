@@ -245,6 +245,7 @@ def survey_stats(survey: RssiSurvey) -> SurveyStats:
     left to right over the pooled samples in row order (bincount adds in
     input order), and squared deviations are exact IEEE products, so the
     result does not depend on the interpreter's ``sum`` or libm's ``pow``.
+    The deviations and their squares are built in place in one buffer.
     """
     distances, row = np.unique(survey.distances, return_inverse=True)
     n = np.zeros(distances.size, np.int64)
@@ -258,9 +259,11 @@ def survey_stats(survey: RssiSurvey) -> SurveyStats:
             f"estimate a standard deviation, got {n[i]}"
         )
     means = np.bincount(group, weights=survey.samples, minlength=distances.size) / n
+    dev = np.repeat(means[row], survey.counts)
     with np.errstate(over="ignore"):  # an infinite SD is refused by name
-        dev = survey.samples - means[group]
-        var = np.bincount(group, weights=dev * dev, minlength=distances.size) / (n - 1)
+        np.subtract(survey.samples, dev, out=dev)
+        dev *= dev
+        var = np.bincount(group, weights=dev, minlength=distances.size) / (n - 1)
     # np.sqrt rounds correctly, as math.sqrt does.
     columns = distances, means, np.sqrt(var), n, np.full(distances.size, np.nan)
     return SurveyStats._from_columns(survey.site, *columns, metadata=survey.metadata)

@@ -1,5 +1,6 @@
 """Codec round trips, format validation, and canonical exports."""
 
+import copy
 import csv
 import hashlib
 import io
@@ -33,6 +34,7 @@ from rssifit import (
     save_stats_csv,
     save_survey_csv,
     simulate_survey,
+    survey_stats,
 )
 from rssifit import dataio
 
@@ -773,20 +775,38 @@ def test_the_kernel_reads_a_file_without_decoding_it(monkeypatch):
         assert load_survey_csv(data) == survey
 
 
-def test_loading_a_plain_file_peaks_below_five_times_its_bytes():
-    # The readings are held once at a time: no text copy of the file, the
-    # blocks' columns dropped once joined, the gather index built in place.
-    data = ("site,distance_m,rssi_dbm\n" + "".join(
+def _plain_file() -> bytes:
+    """2x10^5 integer rows in 20 runs of one distance each."""
+    return ("site,distance_m,rssi_dbm\n" + "".join(
         f"A,{k // 10_000 + 1},{-40 - k % 53}\n" for k in range(200_000)
     )).encode()
-    load_survey_csv(data)
+
+
+def _traced_peak(fn, *args) -> int:
+    """The traced peak of a second call of ``fn``, once caches are warm."""
+    fn(*args)
     tracemalloc.start()
     try:
-        load_survey_csv(data)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * len(data), peak / len(data)
+
+
+def test_loading_a_plain_file_peaks_below_four_times_its_bytes():
+    # The readings are held once at a time: no text copy of the file, the
+    # blocks' columns never joined, the runs moved whole into the samples.
+    data = _plain_file()
+    peak = _traced_peak(load_survey_csv, data)
+    assert peak <= 4 * len(data), peak / len(data)
+
+
+def test_survey_stats_peaks_below_two_and_a_half_times_its_samples():
+    # One n-sized group index and one buffer for the deviations and their
+    # squares, beside the samples.
+    survey = load_survey_csv(_plain_file())
+    peak = _traced_peak(survey_stats, survey)
+    assert peak <= 2.5 * survey.samples.nbytes, peak / survey.samples.nbytes
 
 
 def reference_pooled(distance, rssi):
@@ -814,13 +834,47 @@ def _pooling_sample(k: int) -> float:
 def test_pooling_by_runs_matches_a_dict_of_rows(runs):
     distance = [d for d, size in runs for _ in range(size)]
     rssi = [_pooling_sample(k) for k in range(len(distance))]
-    survey = dataio._pooled("A", np.array(distance), np.array(rssi))
+    survey = dataio._pooled("A", [(np.array(distance), np.array(rssi))])
     distances, counts, samples = reference_pooled(distance, rssi)
     assert survey.distances.tolist() == distances
     assert survey.counts.tolist() == counts
     assert survey.samples.view(np.uint64).tolist() == (
         np.array(samples).view(np.uint64).tolist()
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from((1.0, 2.0, 2.5, 7.0, 40.0)), st.integers(1, 50)),
+        min_size=1, max_size=12,
+    ),
+    st.lists(st.integers(1, 900), max_size=8),
+)
+# Each run of 30 cut in half, and a cut on a run's edge.
+@example([(2.0, 30), (1.0, 30), (2.0, 30)], [15, 45, 60, 75])
+# Every row its own run, over more distances than a uint8 ranks.
+@example([(float(k % 300 + 1), 1) for k in range(900)], [1, 256, 600])
+def test_both_move_rules_pool_chunked_runs_as_a_dict_of_rows(runs, cuts):
+    # The rows come in chunks, as the kernel's blocks do, cut at ``cuts``;
+    # each rule is forced by the rows-per-run ratio it is chosen by.
+    distance = [d for d, size in runs for _ in range(size)]
+    rssi = [_pooling_sample(k) for k in range(len(distance))]
+    edges = sorted({0, len(distance), *(c for c in cuts if c < len(distance))})
+    columns = [
+        (np.array(distance[a:b]), np.array(rssi[a:b]))
+        for a, b in zip(edges, edges[1:])
+    ]
+    distances, counts, samples = reference_pooled(distance, rssi)
+    for ratio in (0, len(distance) + 1):  # whole runs, then sorted rows
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_RUN", ratio)
+            survey = dataio._pooled("A", columns)
+        assert survey.distances.tolist() == distances
+        assert survey.counts.tolist() == counts
+        assert survey.samples.view(np.uint64).tolist() == (
+            np.array(samples).view(np.uint64).tolist()
+        )
 
 
 # -- the one number rule ---------------------------------------------------
@@ -1230,10 +1284,11 @@ _FIELD_NUMBERS = st.one_of(
     st.integers(-5, 50),
     st.floats(-100.0, 100.0),
 )
-# What a field may hold instead of a number.
+# What a field may hold instead of a number: a fresh copy each draw, since
+# model_documents writes into a drawn {} and may put {"a": 1} inside itself.
 _ODD_VALUES = st.sampled_from(
     (True, False, None, "1", "", [1], {}, {"a": 1}, float("nan"), float("inf"))
-)
+).map(copy.deepcopy)
 
 
 @st.composite

@@ -477,12 +477,13 @@ def test_large_distance_sets_are_not_kept_as_cache_keys():
 
 
 def test_large_fits_peak_within_a_few_copies_of_their_inputs():
-    # Each sum holds one (n, k) table of powers and no copy of d beside it:
-    # the line's table is 1.5x and, refitted in d/d_max here, the quartic's
-    # 4.5x the inputs' bytes, with d/d_max and its key bytes beside it.
-    x = np.linspace(1.0, 60.0, 200_000)
+    # Each sum holds one (n, k) table of powers and no copy of d beside it,
+    # nor the bytes of a set too large to cache: the line's table is 1.5x
+    # and, refitted in d/d_max here, the quartic's 4.5x the inputs' bytes,
+    # with d/d_max beside it. A bytes copy of d would add 0.5x to each.
+    x = np.linspace(1.0, 60.0, 1_000_000)
     y = np.sin(x) + 3.0
-    for fit, bound in ((ols_line, 2.5), (polyfit_quartic, 6.0)):
+    for fit, bound in ((ols_line, 2.0), (polyfit_quartic, 5.5)):
         fit(x, y)
         tracemalloc.start()
         try:
@@ -490,7 +491,16 @@ def test_large_fits_peak_within_a_few_copies_of_their_inputs():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound * (x.nbytes + y.nbytes), fit.__name__
+        assert peak < bound * (x.nbytes + y.nbytes), fit.__name__
+
+
+def test_a_strided_set_too_large_to_cache_fits_as_its_copy():
+    # Past the cache, a fit reads the distances' buffer itself, so a strided
+    # view is made contiguous first.
+    x = np.linspace(1.0, 60.0, 2 * CACHE_MAX_DISTANCES + 2)
+    y = np.sin(x) + 3.0
+    for fit in (ols_line, polyfit_quartic):
+        assert fit(x[::2], y[::2]) == fit(x[::2].copy(), y[::2].copy())
 
 
 def _all_fits(d):
