@@ -42,7 +42,7 @@ from .dataio import (
 from .errors import DataError, NumericalError, RssifitError, probability, real
 from .models import INTERCEPT_MODES, SIGMA_TARGETS, LinkConstants
 from .models import ShadowedPathLossModel, predict_mean_rss, sigma_at
-from .surveys import SurveyStats
+from .surveys import SurveyStats, _cut
 
 # The modules above build the parser and render every command. Each command
 # imports the rest of what it runs, so a process loads no more: predict
@@ -385,12 +385,10 @@ def _cmd_simulate(args):
         Path(args.out).write_bytes(data)
     payload = None  # built only for json: its rows box every sample
     if args.format == "json":
-        samples = np.split(survey.samples, np.cumsum(survey.counts)[:-1])
         payload = _payload(
             "simulate", site=survey.site, seed=spec.seed,
             samples_per_distance=spec.samples_per_distance,
-            rows=[{"distance_m": d, "samples_dbm": s.tolist()}
-                  for d, s in zip(survey.distances.tolist(), samples)],
+            rows=[dict(distance_m=d, samples_dbm=s.tolist()) for d, s in _cut(survey)],
         )
     lines = [
         f"simulated {survey.n_samples} samples at {len(survey.distances)} distances "

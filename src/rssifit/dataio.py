@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import DataError, FormatError, number
 from .models import ConstantSigma, ShadowedPathLossModel, SigmaPolynomial
-from .surveys import DistanceStats, RssiSurvey, SurveyStats
+from .surveys import DistanceStats, RssiSurvey, SurveyStats, _cut
 
 SURVEY_HEADER = ("site", "distance_m", "rssi_dbm")
 STATS_HEADER = ("distance_m", "mean_dbm", "sd_db", "prr_pct", "n")
@@ -170,8 +170,7 @@ def save_survey_csv(survey: RssiSurvey) -> bytes:
         raise DataError("site must not contain line breaks")
     site = csv_text((survey.site,), ())[:-1]  # quoted as the csv module quotes it
     parts = [csv_text(SURVEY_HEADER, ())]
-    rows = np.split(survey.samples, np.cumsum(survey.counts)[:-1])
-    for distance, samples in zip(survey.distances.tolist(), rows):
+    for distance, samples in _cut(survey):
         start = f"{site},{_fmt(distance)},"
         parts += start, f"\n{start}".join(map(_fmt, samples.tolist())), "\n"
     return "".join(parts).encode("utf-8")

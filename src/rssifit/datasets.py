@@ -175,26 +175,23 @@ def dataset_names() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
+def _lookup(table: dict, name: str, missing: str):
+    """``table[name]``, or a refusal that lists the names ``table`` holds."""
+    try:
+        return table[name]
+    except (KeyError, TypeError):  # TypeError: a name that cannot be a key
+        names = ", ".join(sorted(table))
+        raise DatasetNotFoundError(f"{missing} {name!r}; available: {names}") from None
+
+
 def embedded_dataset(name: str) -> DatasetRecord:
     """Look up an embedded dataset by name.
 
     Unknown names raise :class:`DatasetNotFoundError` listing what exists.
     """
-    try:
-        return _REGISTRY[name]
-    except (KeyError, TypeError):  # TypeError: a name that cannot be a key
-        available = ", ".join(sorted(_REGISTRY))
-        raise DatasetNotFoundError(
-            f"no embedded dataset named {name!r}; available: {available}"
-        ) from None
+    return _lookup(_REGISTRY, name, "no embedded dataset named")
 
 
 def published_fit(name: str) -> PublishedFit:
     """Published model parameters for a survey dataset, if any."""
-    try:
-        return PUBLISHED_FITS[name]
-    except (KeyError, TypeError):  # TypeError: a name that cannot be a key
-        available = ", ".join(sorted(PUBLISHED_FITS))
-        raise DatasetNotFoundError(
-            f"no published fit for {name!r}; available: {available}"
-        ) from None
+    return _lookup(PUBLISHED_FITS, name, "no published fit for")

@@ -6,12 +6,12 @@ failures of the math itself (singular systems, degenerate regressions).
 The CLI maps them to exit codes 1 and 2 respectively.
 
 Every public constructor and entry point checks its scalars with the field
-rules below. Each returns the canonical ``float``, ``int``, ``bool`` or
-``str``, or raises :class:`DataError` naming the field. A number is what
-``float`` takes but text and bools: Python and numpy ints and floats, 0-d
-arrays of them. Each range rule admits a closed interval of floats and
-carries ``holds``, the same test on a float array: the survey containers
-check their columns with it.
+rules below. Each returns the canonical ``float``, ``int``, ``bool``, ``str``
+or tuple of str pairs, or raises :class:`DataError` naming the field. A
+number is what ``float`` takes but text and bools: Python and numpy ints and
+floats, 0-d arrays of them. Each range rule admits a closed interval of
+floats and carries ``holds``, the same test on a float array: the survey
+containers check their columns with it.
 """
 
 import math
@@ -124,6 +124,16 @@ def text(name: str, value: object) -> str:
     if not isinstance(value, str) or not value:
         raise DataError(f"{name} must be a non-empty string")
     return str(value)
+
+
+def pairs(name: str, value: object) -> tuple[tuple[str, str], ...]:
+    """A tuple or list of (str, str) pairs, as a tuple of tuples of str."""
+    if isinstance(value, (tuple, list)) and all(
+        isinstance(p, (tuple, list)) and len(p) == 2
+        and all(isinstance(s, str) for s in p) for p in value
+    ):
+        return tuple((str(k), str(v)) for k, v in value)
+    raise DataError(f"{name} must be (str, str) pairs, got {value!r}")
 
 
 def one_of(name: str, value: object, choices: tuple[str, ...]) -> str:

@@ -291,16 +291,14 @@ def _cached(fn, d: np.ndarray, *args):
 
 @lru_cache(maxsize=16)
 def _moment_matrix(d_buffer, powers: tuple[int, ...]) -> _Factored | None:
-    """_moment_system's matrix half, or None if a line's moments overflow;
-    ``d_buffer`` holds float64 distances, as bytes or an array (_cached)."""
+    """_moment_system's matrix half, or None (refused there) if its moments
+    overflow; ``d_buffer`` holds float64 distances, bytes or array (_cached)."""
     d, top = np.frombuffer(d_buffer), powers[0]
     moments = _power_sums(d, 2 * top)
     # No entry exceeds n + sum(d^(2*top)) in size, so a finite corner means
     # a finite matrix.
     if math.isfinite(moments[2 * top]):
         return _Factored([[moments[p + q] for q in powers] for p in powers])
-    if top > 1:
-        raise _out_of_range(d, f"the moment sums of d^{2 * top} overflow")
     return None
 
 
@@ -313,6 +311,8 @@ def _moment_system(
     sum that overflows is refused naming ``names``, or above a line the span.
     """
     half = _cached(_moment_matrix, d, powers)
+    if half is None and powers[0] > 1:
+        raise _out_of_range(d, f"the moment sums of d^{2 * powers[0]} overflow")
     weighted = _power_sums(d, powers[0], y)
     rhs = [weighted[p] for p in powers]
     if half is None or not all(map(math.isfinite, rhs)):

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, InsufficientDataError, _refused
-from .errors import integer, nonnegative, percent, positive, real, settle, text
+from .errors import integer, nonnegative, pairs, percent, positive, real, settle, text
 
 _key = attrgetter("site", "metadata")
 
@@ -57,7 +57,7 @@ class RssiSurvey(_Columns):
     arrays: ``distances`` and ``counts`` per row, ``samples`` row after row.
     Rows keep their order; distances may repeat. ``survey.rows`` builds tuples
     of Python floats on access; ``==`` and ``hash`` follow site, metadata
-    and the columns. ``metadata`` is free-form provenance.
+    and the columns. ``metadata`` holds (str, str) provenance pairs.
     """
 
     _COLUMNS = ("distances", "counts", "samples")
@@ -70,6 +70,7 @@ class RssiSurvey(_Columns):
 
     def __post_init__(self, rows) -> None:
         settle(self, text, "site")
+        settle(self, pairs, "metadata")
         distances, chunks, fault = [], [], None
         try:
             for i, row in enumerate(rows):
@@ -130,11 +131,15 @@ def _row(i: int, row) -> tuple[float, np.ndarray]:
     raise DataError(f"not a flat list of samples at distance {distance} m")
 
 
+def _cut(survey: RssiSurvey) -> Iterable[tuple[float, np.ndarray]]:
+    """Each row's distance, as a float, and a view of its samples."""
+    ends = np.cumsum(survey.counts)[:-1]
+    return zip(survey.distances.tolist(), np.split(survey.samples, ends))
+
+
 def _rows(survey: RssiSurvey) -> tuple[tuple[float, tuple[float, ...]], ...]:
     """The rows, built on access."""
-    ends = np.cumsum(survey.counts)[:-1]
-    rows = map(np.ndarray.tolist, np.split(survey.samples, ends))
-    return tuple(zip(survey.distances.tolist(), map(tuple, rows)))
+    return tuple((d, tuple(samples.tolist())) for d, samples in _cut(survey))
 
 
 # Set after the class body, where ``rows`` names the init argument.
@@ -186,6 +191,7 @@ class SurveyStats(_Columns):
 
     def __post_init__(self, rows) -> None:
         settle(self, text, "site")
+        settle(self, pairs, "metadata")
         try:
             rows = tuple(rows)
         except TypeError:

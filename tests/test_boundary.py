@@ -74,11 +74,13 @@ CALLS = {
         ("distance", "mean_rss", "sd", "n", "prr"),
     ),
     "SurveyStats": (
-        {"site": "s", "rows": _STATS.rows}, ("site", "rows", "rows[0]")
+        {"site": "s", "rows": _STATS.rows},
+        ("site", "rows", "rows[0]", "metadata"),
     ),
     "RssiSurvey": (
         {"site": "s", "rows": ((1.0, (-50.0, -51.0)),)},
-        ("site", "rows", "rows[0]", "rows[0].distance", "rows[0].samples"),
+        ("site", "rows", "rows[0]", "rows[0].distance", "rows[0].samples",
+         "metadata"),
     ),
     "SimulationSpec": (
         {"model": _MODEL, "distances": (1.0, 2.0), "samples_per_distance": 2,
@@ -227,6 +229,11 @@ def _check_canonical(value, where="result"):
                 assert type(field) in kinds, (where, name, field)
             if annotation == "tuple[float, ...]":
                 assert all(type(v) is float for v in field), (where, name)
+            if annotation == "tuple[tuple[str, str], ...]":
+                assert type(field) is tuple, (where, name)
+                assert all(type(p) is tuple and len(p) == 2 for p in field)
+                assert all(type(s) is str for p in field for s in p)
+                hash(value)
             _check_canonical(field, f"{where}.{name}")
     elif isinstance(value, tuple):
         for i, item in enumerate(value):
@@ -277,6 +284,10 @@ def test_every_public_name_is_driven_or_set_aside():
 @example(case=("RssiSurvey", "rows[0].samples"), junk=("-50", "-51"))
 @example(case=("RssiSurvey", "rows[0].samples"), junk=(True, False))
 @example(case=("RssiSurvey", "rows[0].samples"), junk=np.array([1j, 2.0]))
+@example(case=("RssiSurvey", "metadata"), junk=[("a", "b")])
+@example(case=("RssiSurvey", "metadata"), junk=5)
+@example(case=("SurveyStats", "metadata"), junk=[["a", np.str_("b")]])
+@example(case=("SurveyStats", "metadata"), junk=(("a", 1.0),))
 def test_scalars_are_canonical_or_refused_by_name(case, junk):
     name, slot = case
     base, _ = CALLS[name]

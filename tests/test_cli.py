@@ -439,11 +439,14 @@ def test_datasets_list_names_all_records(capsys):
     assert by_name["longwall-face"]["range_test_m"] == [40.0, 45.0]
 
 
-def test_datasets_export_reproduces_canonical_bytes(capsys):
+def test_datasets_export_reproduces_canonical_bytes(capsys, tmp_path):
     rc, out, _ = run(capsys, "datasets", "export", "longwall-face")
     assert rc == 0
     canonical = save_stats_csv(embedded_dataset("longwall-face").stats)
     assert out.encode() == canonical
+    path = tmp_path / "export.csv"
+    rc, _, _ = run(capsys, "datasets", "export", "longwall-face", "--out", str(path))
+    assert rc == 0 and path.read_bytes() == canonical
 
 
 def test_datasets_export_unknown_name_lists_choices(capsys):

@@ -153,6 +153,9 @@ def test_system_validation():
          "x and y must be finite"),
         (partial(polyfit_quartic, [1.0, 2.0, math.nan, 4.0, 5.0, 6.0], [1.0] * 6),
          "d and y must be finite"),
+        # the sums are finite, but the slope, 1e309, is not
+        (partial(ols_line, [0.0, 1e-5, 2e-5], [0.0, 1e304, 2e304]),
+         "x and y are too large: the solved line overflows"),
     ],
 )
 def test_unusable_inputs_are_refused_by_name(call, message):
@@ -410,15 +413,20 @@ def test_fits_give_the_same_reports_from_a_cold_and_a_warm_cache():
 
 def test_an_overflowing_distance_set_is_refused_alike_on_every_call():
     far = np.geomspace(1e37, 1e39, 8)
-    messages = []
+    messages, misses = [], []
+    _caches_clear()
     for _ in range(2):
         with pytest.raises(DataError) as caught:
             polyfit_quartic(far, np.ones(8))
         messages.append(str(caught.value))
+        misses.append(_moment_matrix.cache_info().misses)
         with pytest.raises(DataError) as caught:
             ols_line([1e200, 2e200, 3e200], [1.0, 2.0, 3.0])
         messages.append(str(caught.value))
+        misses.append(_moment_matrix.cache_info().misses)
     assert messages[:2] == messages[2:]
+    # The overflow is kept in the cache: each repeated refusal is a hit.
+    assert misses == [1, 2, 2, 2]
     assert messages[0].endswith("the moment sums of d^8 overflow")
     assert messages[1] == "x and y are too large: a normal-equation sum overflows"
 
