@@ -13,10 +13,11 @@ Survey CSV  header ``site,distance_m,rssi_dbm``, one sample per row. A file
             exactly; one with repeated distance rows reloads in the pooled
             form. Two readers share the work. A well-formed file, LF or CRLF,
             whose numbers are all plain decimals (:func:`_decimals`, the
-            17-digit samples the writer emits included) is read from its
-            bytes by a kernel that decodes only the site field; any other
-            file (an exponent, blanks or quotes around a number, a site that
-            is not UTF-8 or holds a NUL, a malformed record) is decoded and
+            writer's 17-digit samples included) is read from its bytes by a
+            kernel that decodes only the site field and finds only lines,
+            each distance ending at its line's first comma; any other file
+            (an exponent, blanks or quotes around a number, a site that is
+            not UTF-8 or holds a NUL, a malformed record) is decoded and
             read by a row loop over ``csv.reader``. Results, error messages
             and line numbers are the row loop's whichever reads the file.
             Both hand their columns to one pooling step, which moves each
@@ -257,24 +258,22 @@ def _survey_bulk(data: bytes) -> RssiSurvey | None:
     """Parse a well-formed survey file in bulk from its bytes; None, and the
     row loop decodes and reads the file, whenever it cannot show that the
     file reads exactly as the row loop reads it: another header spelling; a
-    line that does not start with the first row's site field, that has a
-    comma more or less than that field and the two number columns, or that
-    holds a CR anywhere but at its end; a line longer than the csv field
-    limit; a number that is not a plain decimal (:func:`_decimals`); a site
-    that is not UTF-8 or holds a NUL; anything :class:`RssiSurvey` refuses.
-    A record running over a line break would hold a quote or a comma of the
-    next line's site field in a number, which the kernel does not read. All
+    line that is not the first row's site field and its comma, a plain
+    decimal (:func:`_decimals`), a comma and a plain decimal, with an
+    optional final CR; a line longer than the csv field limit; a site that
+    is not UTF-8 or holds a NUL; anything :class:`RssiSurvey` refuses. A
+    record running over a line break opens a quote in a number field. All
     else is ASCII and each site field the first one's bytes, so the file is
     UTF-8 exactly when the first site decodes."""
     first = _SURVEY_START.match(data)
     limit = csv.field_size_limit()
     if first is None or first.start(1) - 1 > limit:  # the header line too
         return None
-    prefix = first.group(1)
-    mark, commas = np.frombuffer(prefix, np.uint8), prefix.count(b",") + 1
+    mark = np.frombuffer(first.group(1), np.uint8)
+    # A CR flag per file: a strip at every line end cost 0.2-0.3 ms per LF load.
     crlf, columns = b"\r" in data, []
     for block in _blocks(data, first.start(1)):
-        fields = _survey_fields(block, mark, commas, limit, crlf)
+        fields = _survey_fields(block, mark, limit, crlf)
         if fields is None:
             return None
         lo, comma, hi = fields
@@ -282,7 +281,7 @@ def _survey_bulk(data: bytes) -> RssiSurvey | None:
         if pair[0] is None or pair[1] is None:
             return None
         columns.append(pair)
-    site = prefix[:-1]
+    site = first.group(1)[:-1]
     if site.startswith(b'"'):
         site = site[1:-1].replace(b'""', b'"')
     try:
@@ -310,27 +309,19 @@ def _blocks(data: bytes, start: int):
         start = cut
 
 
-def _survey_fields(block, mark, commas: int, limit: int, crlf: bool):
+def _survey_fields(block, mark, limit: int, crlf: bool):
     """The number fields of a block of survey lines: each line's first
-    distance byte, the comma after the distance and the line's end, before
-    a CR that ends it where ``crlf`` (the file holds a CR). None unless every
-    line starts with the bytes ``mark`` (the site field and its comma), holds
-    ``commas`` commas and at most ``limit`` bytes. Lines are checked, not
-    breaks: with ``commas + 1`` breaks (comma or line break) per line and
-    each line's last break a line break, every other break is a comma. Any
-    other CR is inside the site field, which then differs from ``mark``, or
-    inside a number, which :func:`_decimals` refuses."""
-    newline = block == 10
-    breaks = np.flatnonzero(newline | (block == 44))
-    lines = np.count_nonzero(newline)
-    if not newline[-1]:  # the file's last line, with no line break
-        breaks, lines = np.append(breaks, block.size), lines + 1
-    if breaks.size != lines * (commas + 1):
-        return None
-    breaks = breaks.reshape(lines, commas + 1)
-    ends = breaks[:, -1]
-    if not newline[ends[:-1]].all():  # the last line's end is the block's
-        return None
+    distance byte, the first comma after it and the line's end, before a CR
+    that ends it where ``crlf`` (the file holds a CR). None unless every
+    line starts with the bytes ``mark`` (the site field and its comma) and
+    holds at most ``limit`` bytes. Only lines are found: the comma is sought
+    as far as a distance reaches (a sign and ``_DIGITS`` bytes), the rssi
+    field runs to the line's end, and any other comma, quote, blank or CR
+    falls in a number, which :func:`_decimals` refuses, as it refuses a
+    distance with no comma in reach: it runs over a line break or too far."""
+    ends = np.flatnonzero(block == 10)
+    if block[-1] != 10:  # the file's last line, with no line break
+        ends = np.append(ends, block.size)
     starts = np.concatenate(([0], ends[:-1] + 1))
     size = ends - starts
     if size.min() < mark.size or size.max() > limit:
@@ -340,35 +331,43 @@ def _survey_fields(block, mark, commas: int, limit: int, crlf: bool):
             return None
     if crlf:  # ends - 1 >= 0: a line holds ``mark``
         ends = ends - (block[ends - 1] == 13)
-    return starts + mark.size, breaks[:, -2], ends
+    lo = comma = starts + mark.size
+    for _ in range(_DIGITS + 2):  # a sign, the digits and the comma
+        ahead = block.take(comma, mode="clip") != 44
+        if not ahead.any():
+            break
+        comma = comma + ahead
+    return lo, comma, ends
 
 
+_DIGITS = 19  # a number field's bytes after its sign, at most
 # Exact powers of ten, from Python ints: 10**k for k <= 22 is a double.
-_POWERS = np.array([float(10**k) for k in range(19)])
+_POWERS = np.array([float(10**k) for k in range(_DIGITS)])
 
 
 def _decimals(block, lo, hi):
     """The numbers in ``block[lo:hi]``, each ``[+-]digits[.digits]`` of at
-    most 19 bytes after the sign, to ``float()``'s bits; None when any field
-    is not.
+    most ``_DIGITS`` bytes after the sign, to ``float()``'s bits; None when
+    any field is not.
 
-    A field is m / 10**k for its digits m, below 10**19, and k <= 18. The
-    digits are summed exactly: in float64 while no field has more than 15
-    bytes after its sign, else in uint64. Below 2**53, m and 10**k are exact
-    doubles, so one division rounds correctly (Clinger, *How to Read
-    Floating Point Numbers Accurately*, PLDI 1990); a larger m is divided as
-    Python ints, whose true division rounds correctly too.
+    A field is m / 10**k for its digits m, below 10**_DIGITS, and k below
+    _DIGITS. The digits are summed exactly: in float64 while no field has
+    more than 15 bytes after its sign, else in uint64. Below 2**53, m and
+    10**k are exact doubles, so one division rounds correctly (Clinger, *How
+    to Read Floating Point Numbers Accurately*, PLDI 1990); a larger m is
+    divided as Python ints, whose true division rounds correctly too.
     """
     sign = block.take(lo, mode="clip")  # an empty last field reads its comma
     lo = lo + ((sign == 43) | (sign == 45))
     size = hi - lo
-    if size.min() < 1 or size.max() > 19:
+    if size.min() < 1 or size.max() > _DIGITS:
         return None
     # Horner's rule over the fields right-aligned, column by column: column
     # j holds the byte ``wide - j`` before each field's end, or, ahead of a
     # shorter field, a zero (its index, at worst negative, is read and
     # discarded). The point's column leaves the mantissa as it is.
     wide = int(size.max())
+    # Kept: summing all in uint64 cost ~0.5 ms more per ingest-shaped 10^5-line load.
     kind = np.float64 if wide <= 15 else np.uint64
     ten, mantissa = kind(10), np.zeros(size.size, kind)
     scale = None  # the fraction digits, once any field has a point

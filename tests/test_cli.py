@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 import time
 import warnings
@@ -16,14 +17,16 @@ from hypothesis import strategies as st
 from rssifit import (
     embedded_dataset,
     fit_path_loss,
+    load_stats_csv,
     load_survey_csv,
     model_from_json,
     model_to_json,
     published_fit,
     save_stats_csv,
+    save_survey_csv,
     simulate_survey,
 )
-from rssifit import calibration, cli
+from rssifit import calibration, cli, dataio
 from rssifit.cli import main
 from rssifit.errors import DataError
 from rssifit.models import ConstantSigma, ShadowedPathLossModel, SigmaPolynomial
@@ -507,20 +510,47 @@ def test_negative_scientific_notation_values_parse_like_attached_ones(
 
 def test_fit_rejects_undecodable_or_malformed_stats_files(capsys, tmp_path):
     header = b"distance_m,mean_dbm,sd_db,prr_pct,n\n"
-    for body, where in (
-        (b"1,-50,1\xff,,20\n", "byte 43"),
-        (b"1,-50,1\r,,20\n", "line 2"),
+    for body, error in (
+        (b"1,-50,1\xff,,20\n", "byte 43: not valid UTF-8 (invalid start byte)"),
+        (b"1,-50,1\r,,20\n", "line 2: malformed CSV record: "
+                              "new-line character seen in unquoted field"),
         # An n past int64 was refused without its line.
         (b"1,-50,1,,20\n2,-55,1.5,,20\n3,-60,1,,99999999999999999999\n",
-         "line 4, column 'n'"),
+         "line 4, column 'n': value must be below 2**63, "
+         "got '99999999999999999999'"),
+        # Rows out of range are refused in the words of their field rules.
+        (b"1,-50,1,100.5,20\n2,-55,1.5,90,20\n",
+         "line 2: prr must be in [0, 100] percent, got 100.5"),
+        (b"1,-50,-0.5,100,20\n2,-55,1.5,90,20\n",
+         "line 2: sd must be finite and >= 0, got -0.5"),
     ):
         path = tmp_path / "bad.csv"
         path.write_bytes(header + body)
-        rc, out, err = run(capsys, "fit", str(path))
-        assert rc == 1
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: {where}: ")
+        assert run(capsys, "fit", str(path)) == (1, "", f"error: {error}\n")
+
+
+def test_written_files_reload_and_save_back_byte_for_byte(capsys, tmp_path):
+    # The simulator's survey file with its 17-digit samples, read by the
+    # byte kernel from its LF bytes and from a CRLF copy, and both embedded
+    # stats exports, each reloaded and saved again.
+    model, survey = tmp_path / "m.json", tmp_path / "s.csv"
+    assert run(capsys, "sigma-fit", "longwall-face", "--save-model", str(model))[0] == 0
+    rc, _, _ = run(
+        capsys, "simulate", "--model", str(model), "--distances", "1:20",
+        "--samples", "50", "--seed", "3", "--out", str(survey),
+    )
+    assert rc == 0
+    lf = survey.read_bytes()
+    samples = re.findall(rb"([0-9]+)\.([0-9]+)$", lf, re.M)
+    assert max(len((a + b).lstrip(b"0")) for a, b in samples) == 17
+    for data in (lf, lf.replace(b"\n", b"\r\n")):
+        assert dataio._survey_bulk(data) is not None
+        assert save_survey_csv(load_survey_csv(data)) == lf
+    for name in ("longwall-face", "gateroad-conveyor"):
+        export = tmp_path / f"{name}.csv"
+        assert run(capsys, "datasets", "export", name, "--out", str(export))[0] == 0
+        data = export.read_bytes()
+        assert save_stats_csv(load_stats_csv(data)) == data
 
 
 def test_localize_text_interval_keeps_the_magnitude_of_extreme_endpoints(

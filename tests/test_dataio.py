@@ -714,20 +714,51 @@ def test_a_carriage_return_anywhere_reads_as_the_row_loop_reads_it():
     assert kernel >= 5
 
 
-def test_misaligned_lines_with_the_right_number_of_breaks_go_to_the_row_loop():
-    # A comma too few on one line and one too many on a later line leave the
-    # block's break count right but the breaks out of line with the lines.
-    # Under the site "7", read three breaks at a time, the lines even start
-    # with the site field and hold numbers where the numbers go.
-    error = (FormatError, "line 3: expected 3 fields, got 2")
+def test_lines_the_first_comma_does_not_split_go_to_the_row_loop():
+    # The kernel finds lines, ends each distance at the line's first comma,
+    # looked for as far as a signed 19-byte distance reaches, and leaves
+    # every other byte to the number check. A comma too few on one line and
+    # one too many on a later one (under the site "7", three breaks a line
+    # would read numbers where the numbers go), a comma in the rssi field,
+    # none after the distance, a 21-byte distance, a quote or a CR in the
+    # distance: each line is refused and the row loop reads the file. The
+    # last four files are valid and only the row loop reads them, which is
+    # why it keeps its value path: a quoted number, a site quoted on one
+    # line and bare on another, a quoted line break in the site, and a
+    # quoted header.
+    header = "site,distance_m,rssi_dbm"
     for lines in (
-        ["A,1,-50", "A,1", "A,1,-50", "A,1,-50,7", "A,2,-51"],
-        ["7,1,-50", "7,1", "7,7,1,-51", "7,2,-52"],
+        [header, "A,1,-50", "A,1", "A,1,-50", "A,1,-50,7", "A,2,-51"],
+        [header, "7,1,-50", "7,1", "7,7,1,-51", "7,2,-52"],
+        [header, "A,2,-50", "A,1,-5,0"],
+        [header, "A,2,-50", "A,15"],
+        [header, "A,2,-50", "A,15", "A,3,-52"],
+        [header, "A,2,-50", "A,+0.300000000000000044,-51"],
+        [header, "A,2,-50", "A,+0.300000000000000044-51"],  # no comma in reach
+        [header, "A,2,-50", "A,100000000000000000000,-51"],
+        [header, "A,2,-50", "A,1\r,-51"],
+        [header, "A,2,-50", "A,\r1,-51", "A,1,-52"],
+        [header, "A,2,-50", 'A,"1",-51'],
+        [header, '"A",2,-50', "A,1,-51"],
+        [header, '"A\nB",2,-50', '"A\nB",1,-51'],
+        ['"site",distance_m,rssi_dbm', "A,2,-50", "A,1,-51"],
     ):
-        data = ("site,distance_m,rssi_dbm\n" + "\n".join(lines) + "\n").encode()
-        assert dataio._survey_bulk(data) is None
-        assert _outcome(reference_load_survey_csv, data) == error
-        assert _outcome(load_survey_csv, data) == error
+        for end in ("\n", ""):  # the last line ended or not
+            data = ("\n".join(lines) + end).encode()
+            assert dataio._survey_bulk(data) is None, lines
+            expected = _outcome(reference_load_survey_csv, data)
+            got = _outcome(load_survey_csv, data)
+            if expected[0] is csv.Error:
+                assert got[0] is FormatError and got[1].startswith("line 3: ")
+            else:
+                assert got == expected
+    # At the bound, a 20-byte signed distance is the kernel's.
+    data = (header + "\nA,+0.30000000000000004,-50\nA,1,-51").encode()
+    survey = dataio._survey_bulk(data)
+    assert survey is not None and survey.distances[0] == 0.1 + 0.2
+    assert _outcome(load_survey_csv, data) == _outcome(
+        reference_load_survey_csv, data
+    )
 
 
 def test_a_nul_in_the_site_sends_the_file_to_the_row_loop():
